@@ -26,7 +26,10 @@ type session = {
   deadline : float;  (* the session is abandoned past this instant *)
 }
 
-let start ?(timeout_s = 150.) argv =
+(* A session still running this long after its spawn is abandoned. *)
+let timeout_s = 150.
+
+let start argv =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
@@ -146,6 +149,10 @@ let ping s =
   done;
   Option.get !pong -. s.t_spawn
 
+(* The server's CPU time so far, in seconds. *)
+let cpu_s s =
+  match Proc.cpu_s s.pid with Some c -> c | None -> fail "no CPU time for the server"
+
 type response = { text : string; t_recv : float }
 
 (* Saturation: the whole phase is offered at once and the pipe applies
@@ -171,21 +178,20 @@ let saturate s ~frame ~n =
 
 type open_loop = {
   responses : response array;
-  latency_ms : float array;  (* response time minus offer time *)
+  latency_ms : float array;  (* response time minus scheduled send time *)
   late_ms : float array;  (* offer time minus scheduled send time *)
   backlog_max : int;  (* most requests sent and not yet answered *)
 }
 
 (* Open loop: request i is due at t0 + i / rate whatever the server is
    doing. The generator never waits for the server: a request offered
-   while the pipe is full waits in [out_queue], and that wait is part of
-   its latency, so a stall also charges the requests queued behind it.
-   Latency runs from the instant the generator offers the request; the
-   generator's own lateness (its timer woke late) is kept apart in
-   [late_ms], because on a shared host it is the host's noise. *)
+   while the pipe is full waits in [out_queue]. Latency runs from the
+   instant the request was due, so a stall also charges the requests
+   due behind it. How late the generator offered each request is kept
+   in [late_ms], to tell its own lateness from the server's. *)
 let open_loop s ~frame ~n ~rate =
   let got = Array.make n { text = ""; t_recv = 0. } in
-  let late = Array.make n 0. and offered = Array.make n 0. in
+  let late = Array.make n 0. in
   let t0 = now () +. 0.01 in
   let due i = t0 +. (float_of_int i /. rate) in
   let sent = ref 0 and k = ref 0 and backlog = ref 0 in
@@ -194,7 +200,6 @@ let open_loop s ~frame ~n ~rate =
     let t = now () in
     while !sent < n && t >= due !sent do
       late.(!sent) <- (t -. due !sent) *. 1000.;
-      offered.(!sent) <- t;
       send s (frame !sent);
       incr sent
     done;
@@ -206,7 +211,7 @@ let open_loop s ~frame ~n ~rate =
   done;
   {
     responses = got;
-    latency_ms = Array.mapi (fun i r -> (r.t_recv -. offered.(i)) *. 1000.) got;
+    latency_ms = Array.mapi (fun i r -> (r.t_recv -. due i) *. 1000.) got;
     late_ms = late;
     backlog_max = !backlog;
   }

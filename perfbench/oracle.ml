@@ -1,14 +1,17 @@
 (* The answer oracle. Each expected response body is recomputed
    directly through Semantics / Tree.measure / Belief, bypassing the
    server's frame, parse, cache and rendering layers, and compared with
-   what the binary sent. *)
+   what the binary sent. Exact bodies evaluate the formula with the
+   recursive engine ([Semantics.eval]), not the vectorized one the
+   server runs, so a defect in eval_vec or Closure shows as a wrong
+   answer instead of being repeated on both sides. *)
 
 open Pak
 
 let valuation = Semantics.generic_valuation
 
 let eval_body tree formula =
-  let fact = Semantics.eval_auto tree ~valuation (Parser.parse formula) in
+  let fact = Semantics.eval tree ~valuation (Parser.parse formula) in
   let sat = ref 0 in
   Tree.iter_points tree (fun ~run ~time -> if Fact.holds fact ~run ~time then incr sat);
   let initially = ref (Tree.empty_event tree) in
@@ -21,13 +24,15 @@ let eval_body tree formula =
     (Q.to_string (Tree.measure tree !initially))
 
 let belief_body tree formula ~agent ~run ~time =
-  let fact = Semantics.eval_auto tree ~valuation (Parser.parse formula) in
+  let fact = Semantics.eval tree ~valuation (Parser.parse formula) in
   Printf.sprintf "(code 0) (status ok) (result (degree %s))"
     (Q.to_string (Belief.degree fact ~agent ~run ~time))
 
 (* The degraded path under the same per-request budget the server
    installs: the graded degree must come back ESTIMATED, with exactly
-   the value the seeded fallback estimator gives. *)
+   the value the seeded fallback estimator gives. The formula goes
+   through [eval_auto], as in the server, because the points it spends
+   decide where the budget runs out. *)
 let degraded_body tree formula ~agent ~run ~time (d : Workload.degraded) =
   match
     Budget.with_budget (Budget.limits ~max_points:d.max_points ()) (fun () ->

@@ -50,12 +50,35 @@ let peak_rss_kb pid ~name =
         Option.bind (field status "VmHWM") (fun v ->
             int_of_string_opt (String.trim (List.hd (String.split_on_char 'k' v))))
 
+(* The CPU time (user + system, s) a live child has used so far, from
+   /proc/PID/stat, whose times are in 1/100 s on Linux. Time the host
+   took from a virtual CPU (steal) is not in it. *)
+let cpu_s pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+      (* "pid (comm) state ppid ...": utime and stime are the 12th and
+         13th fields after the comm's closing parenthesis. *)
+      let after = String.rindex stat ')' + 2 in
+      match String.split_on_char ' ' (String.sub stat after (String.length stat - after)) with
+      | _ :: _ :: _ :: _ :: _ :: _ :: _ :: _ :: _ :: _ :: _ :: u :: s :: _ -> (
+          match (int_of_string_opt u, int_of_string_opt s) with
+          | Some u, Some s -> Some (float_of_int (u + s) /. 100.)
+          | _ -> None)
+      | _ -> None)
+
+(* CPU time (user + system, s) of the children reaped so far. *)
+let children_cpu_s () =
+  let t = Unix.times () in
+  t.tms_cutime +. t.tms_cstime
+
 type finished = {
   code : int;
   rss_kb : int;
   out : string;
   err : string;
   wall_s : float;  (* spawn to exit *)
+  cpu_s : float;  (* user + system *)
 }
 
 let spawn argv ~stdin ~stdout ~stderr =
@@ -93,13 +116,14 @@ let drain_all ~tick fds =
   List.map (fun (_, b) -> Buffer.contents b) bufs
 
 (* Run [argv] to completion with stdin closed, capturing stdout and
-   stderr. The peak RSS is polled while the child runs, so growth in its
-   last 2 ms may be missed. *)
+   stderr; no other child may be reaped meanwhile, or its CPU time is
+   counted in this one's. The peak RSS is polled while the child runs,
+   so growth in its last 2 ms may be missed. *)
 let run argv =
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
-  let t0 = now () in
+  let t0 = now () and c0 = children_cpu_s () in
   let pid = spawn argv ~stdin:null ~stdout:out_w ~stderr:err_w in
   List.iter Unix.close [ null; out_w; err_w ];
   let rss_kb = ref 0 in
@@ -109,7 +133,8 @@ let run argv =
   let code = wait pid in
   let rss_kb = !rss_kb in
   let wall_s = now () -. t0 in
+  let cpu_s = children_cpu_s () -. c0 in
   List.iter Unix.close [ out_r; err_r ];
   match outs with
-  | [ out; err ] -> { code; rss_kb; out; err; wall_s }
+  | [ out; err ] -> { code; rss_kb; out; err; wall_s; cpu_s }
   | _ -> assert false

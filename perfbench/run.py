@@ -2,12 +2,14 @@
 """Benchmark entry point, run from the root of a pak source checkout.
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1 [--jobs J]
+    python3 perfbench/run.py --workload all --seed N --seconds S --trace 0|1 [--jobs J]
     python3 perfbench/run.py --self-test
 
 Builds the release `pak` binary and perfbench/ledger.exe from source
-with dune, then runs one workload (see perfbench/README.md). The last
-line of standard output is the JSON result. Exits 1 after the result
-when an answer is wrong. Exits 2 or more, printing no result, when the
+with dune, then runs one workload (see perfbench/README.md), or each
+in turn with `--workload all`. The last line of standard output is the
+JSON result (of the last workload, with `all`). Exits 1 after the
+result when an answer is wrong. Exits 2 or more, printing no result, when the
 checkout is not a pak source tree, the build fails or the run breaks.
 """
 
@@ -46,22 +48,8 @@ def build(targets):
         die("build failed", 3)
 
 
-def main():
-    p = argparse.ArgumentParser()
-    p.add_argument("--workload", choices=WORKLOADS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seconds", type=int)
-    p.add_argument("--trace", type=int, choices=[0, 1])
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--self-test", action="store_true")
-    a = p.parse_args()
-    if a.self_test:
-        build([SELFTEST])
-        sys.exit(subprocess.run([SELFTEST], timeout=TIMEOUT_S).returncode)
-    if None in (a.workload, a.seed, a.seconds, a.trace):
-        die("--workload, --seed, --seconds and --trace are required")
-    build([PAK, LEDGER])
-    cmd = [LEDGER, "--workload", a.workload, "--seed", str(a.seed),
+def run_ledger(workload, a):
+    cmd = [LEDGER, "--workload", workload, "--seed", str(a.seed),
            "--seconds", str(a.seconds), "--trace", str(a.trace),
            "--jobs", str(a.jobs), "--pak", PAK]
     try:
@@ -78,7 +66,28 @@ def main():
         die(f"ledger failed (exit {r.returncode})", 4)
     sys.stdout.write(r.stdout)
     sys.stdout.flush()
-    sys.exit(r.returncode)
+    return r.returncode
+
+
+def main():
+    p = argparse.ArgumentParser()
+    p.add_argument("--workload", choices=WORKLOADS + ["all"])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--seconds", type=int)
+    p.add_argument("--trace", type=int, choices=[0, 1])
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--self-test", action="store_true")
+    a = p.parse_args()
+    if a.self_test:
+        build([SELFTEST])
+        sys.exit(subprocess.run([SELFTEST], timeout=TIMEOUT_S).returncode)
+    if None in (a.workload, a.seed, a.seconds, a.trace):
+        die("--workload, --seed, --seconds and --trace are required")
+    build([PAK, LEDGER])
+    code = 0
+    for w in WORKLOADS if a.workload == "all" else [a.workload]:
+        code = max(code, run_ledger(w, a))
+    sys.exit(code)
 
 
 if __name__ == "__main__":

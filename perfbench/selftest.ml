@@ -1,6 +1,7 @@
 (* Checks of the benchmark itself: generator determinism, the tail
-   percentile rule, parsing of the runtime's GC exit report, and the
-   oracle rejecting a tampered response. Run with
+   percentile rule, parsing of the runtime's GC exit report and of
+   /proc CPU times, the oracle rejecting a tampered response, and the
+   traced replay agreeing with Serve.run. Run with
    dune build @perfbench/selftest or python3 perfbench/run.py --self-test. *)
 
 let failures = ref 0
@@ -76,7 +77,9 @@ let gc_report () =
   check "allocated_words parsed" (Proc.allocated_words report = Some 236721374);
   check "no report, no value" (Proc.allocated_words "thm62 ... OK\n" = None);
   check "pak runs with the exit report on"
-    (Array.exists (String.equal "OCAMLRUNPARAM=v=0x400") (Proc.pak_env ()))
+    (Array.exists (String.equal "OCAMLRUNPARAM=v=0x400") (Proc.pak_env ()));
+  check "CPU time read from /proc"
+    (match Proc.cpu_s (Unix.getpid ()) with Some c -> c >= 0. | None -> false)
 
 let oracle () =
   let w = Workload.serve ~workload:"serve_cold" ~seed:5 ~seconds:1. in
@@ -109,11 +112,21 @@ let oracle () =
     (Oracle.check ~id:2 ~expected:expected.(1) first <> None);
   check "oracle rejects a malformed frame" (Oracle.check ~id:1 ~expected:expected.(0) "(pong (id 0))" <> None)
 
+(* The traced pass replays requests through its own copy of Serve's
+   request path; its responses must be Serve.run's, byte for byte. *)
+let replay () =
+  List.iter
+    (fun workload ->
+      let _, matches = Layers.serve (Workload.serve ~workload ~seed:7 ~seconds:1.) in
+      check (workload ^ ": traced replay answers as Serve.run") matches)
+    [ "serve_cold"; "serve_warm"; "serve_degraded" ]
+
 let () =
   generator ();
   percentiles ();
   gc_report ();
   oracle ();
+  replay ();
   if !failures > 0 then begin
     Printf.printf "%d self-test(s) failed\n" !failures;
     exit 1

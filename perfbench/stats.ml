@@ -50,7 +50,9 @@ let tail xs =
    two windows' worth is one window. *)
 type windowed = { tail : tail; windows : int }
 
-let windowed_tail ?(window = 200) samples =
+let window = 200
+
+let windowed_tail samples =
   let n = Array.length samples in
   let k = max 1 (n / window) in
   let tails =

@@ -48,9 +48,9 @@ type serve = {
 type shape = { sat_per_s : float; open_rps : float; open_share : float }
 
 let shape = function
-  | "serve_cold" -> { sat_per_s = 300.; open_rps = 450.; open_share = 0.6 }
-  | "serve_warm" -> { sat_per_s = 1000.; open_rps = 900.; open_share = 0.4 }
-  | "serve_degraded" -> { sat_per_s = 24.; open_rps = 14.; open_share = 0.5 }
+  | "serve_cold" -> { sat_per_s = 900.; open_rps = 450.; open_share = 0.25 }
+  | "serve_warm" -> { sat_per_s = 1600.; open_rps = 900.; open_share = 0.25 }
+  | "serve_degraded" -> { sat_per_s = 36.; open_rps = 14.; open_share = 0.25 }
   | w -> invalid_arg ("Workload.shape: " ^ w)
 
 (* Monte-Carlo samples per degraded belief request. *)
