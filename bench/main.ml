@@ -420,10 +420,10 @@ let obs_scenarios () =
        independent checker's full re-derivation. The cert.* counters in
        BENCH_obs.json are the layer's work profile; certify-vs-eval and
        check-vs-certify wall-time ratios are its measured overhead. *)
-    ("certify_kb_fs", fun () -> ignore (Semantics.certify fs_tree ~valuation formula));
+    ("certify_kb_fs", fun () -> ignore (Cert.certify fs_tree ~valuation formula));
     ( "certify_check_cb_fs",
       fun () ->
-        let cert = Semantics.certify fs_tree ~valuation cb_formula in
+        let cert = Cert.certify fs_tree ~valuation cb_formula in
         match Cert.check ~valuation fs_tree cert with
         | Ok () -> ()
         | Error _ -> assert false );

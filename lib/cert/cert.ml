@@ -69,52 +69,11 @@ let pp_violation fmt v =
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
 
-(* Span label per connective, mirroring the semantics' op tags so the
-   JSON "kind" field and the trace labels agree. *)
-let kind_of : Formula.t -> string = function
-  | True -> "true"
-  | False -> "false"
-  | Atom _ -> "atom"
-  | Not _ -> "not"
-  | And _ -> "and"
-  | Or _ -> "or"
-  | Implies _ -> "implies"
-  | Iff _ -> "iff"
-  | Does _ -> "does"
-  | Eventually _ -> "eventually"
-  | Globally _ -> "globally"
-  | Next _ -> "next"
-  | Once _ -> "once"
-  | Historically _ -> "historically"
-  | Knows _ -> "K"
-  | Believes _ -> "B"
-  | EveryoneKnows _ -> "E"
-  | CommonKnows _ -> "C"
-  | EveryoneBelieves _ -> "Ep"
-  | CommonBelief _ -> "CB"
-
 let points_of fact =
   let tree = Fact.tree fact in
   List.rev
     (Tree.fold_points tree ~init:[] ~f:(fun acc ~run ~time ->
          if Fact.holds fact ~run ~time then (run, time) :: acc else acc))
-
-let facts_equal tree a b =
-  Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-      acc && Fact.holds a ~run ~time = Fact.holds b ~run ~time)
-
-(* The same iteration as [Semantics.gfp], additionally recording every
-   approximant's point set. The trace length equals the number of
-   gfp-iteration counter bumps [eval] performs on the same formula. *)
-let gfp_trace tree step =
-  let rec iterate x trace =
-    Obs.incr c_gfp;
-    Budget.charge_iters 1;
-    let x' = step x in
-    let trace = points_of x' :: trace in
-    if facts_equal tree x x' then (x, List.rev trace) else iterate x' trace
-  in
-  iterate (Fact.tt tree) []
 
 let kcells_of tree ~agent inner =
   List.map
@@ -153,151 +112,56 @@ let bcells_of tree ~agent ~cmp ~threshold inner =
 
 let group_agents grp = List.sort_uniq Stdlib.compare grp
 
+(* Certification is one closure pass plus evidence: Semantics.eval_closure
+   (the production evaluator, not a reimplementation) computes every
+   entry's fact and reports each fixpoint approximant; the K/B cell
+   tables are read off the child entry's fact. Nodes are built in bit
+   order, children first, so a shared subformula is one shared node. *)
 let certify tree ~valuation formula =
   Obs.incr c_certify;
   Obs.span "cert.certify" @@ fun () ->
-  let check_agent i =
-    if i < 0 || i >= Tree.n_agents tree then
-      invalid_arg (Printf.sprintf "Cert.certify: agent %d out of range" i)
+  let clo = Closure.of_formula formula in
+  let approximants = Array.make (Closure.size clo) [] in
+  let fact_at =
+    Semantics.eval_closure tree ~valuation clo ~on_gfp_step:(fun bit x ->
+        Obs.incr c_gfp;
+        approximants.(bit) <- points_of x :: approximants.(bit))
   in
-  let check_group = function
-    | [] -> invalid_arg "Cert.certify: empty agent group"
-    | g -> g
-  in
-  let memo : (Formula.t, node * Fact.t) Hashtbl.t = Hashtbl.create 32 in
-  let rec go (f : Formula.t) : node * Fact.t =
-    match Hashtbl.find_opt memo f with
-    | Some res -> res
-    | None ->
-      let res = build f in
-      Hashtbl.add memo f res;
-      res
-  and build f =
-    let mk ?(evidence = Direct) fact children =
-      let points = points_of fact in
+  let facts = Array.init (Closure.size clo) fact_at in
+  let nodes = Array.make (Closure.size clo) None in
+  Array.iter
+    (fun (e : Closure.entry) ->
+      let inner () = facts.(e.children.(0)) in
+      let evidence =
+        match e.formula with
+        | Knows (i, _) -> Knowledge (kcells_of tree ~agent:i (inner ()))
+        | EveryoneKnows (grp, _) ->
+          Knowledge
+            (List.concat_map (fun i -> kcells_of tree ~agent:i (inner ())) (group_agents grp))
+        | Believes (i, cmp, threshold, _) ->
+          Belief (bcells_of tree ~agent:i ~cmp ~threshold (inner ()))
+        | EveryoneBelieves (grp, threshold, _) ->
+          Belief
+            (List.concat_map
+               (fun i -> bcells_of tree ~agent:i ~cmp:Formula.Geq ~threshold (inner ()))
+               (group_agents grp))
+        | CommonKnows _ | CommonBelief _ -> Fixpoint (List.rev approximants.(e.bit))
+        | _ -> Direct
+      in
+      let points = points_of facts.(e.bit) in
       Obs.incr c_nodes;
       Obs.add c_points (List.length points);
-      ({ formula = f; points; evidence; children }, fact)
-    in
-    match f with
-    | Formula.True -> mk (Fact.tt tree) []
-    | False -> mk (Fact.ff tree) []
-    | Atom a -> mk (Fact.of_state_pred tree (valuation a)) []
-    | Not g ->
-      let n, fg = go g in
-      mk (Fact.not_ fg) [ n ]
-    | And (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.and_ fa fb) [ na; nb ]
-    | Or (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.or_ fa fb) [ na; nb ]
-    | Implies (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.implies fa fb) [ na; nb ]
-    | Iff (a, b) ->
-      let na, fa = go a and nb, fb = go b in
-      mk (Fact.iff fa fb) [ na; nb ]
-    | Does (i, act) ->
-      check_agent i;
-      mk (Fact.does tree ~agent:i ~act) []
-    | Eventually g ->
-      let n, fg = go g in
-      mk (Fact.eventually fg) [ n ]
-    | Globally g ->
-      let n, fg = go g in
-      mk (Fact.globally fg) [ n ]
-    | Next g ->
-      let n, fg = go g in
-      mk (Fact.next fg) [ n ]
-    | Once g ->
-      let n, fg = go g in
-      mk (Fact.once fg) [ n ]
-    | Historically g ->
-      let n, fg = go g in
-      mk (Fact.historically fg) [ n ]
-    | Knows (i, g) ->
-      check_agent i;
-      let n, fg = go g in
-      let fact = Semantics.knows_fact tree ~agent:i fg in
-      mk ~evidence:(Knowledge (kcells_of tree ~agent:i fg)) fact [ n ]
-    | Believes (i, cmp, threshold, g) ->
-      check_agent i;
-      let n, fg = go g in
-      let fact = Semantics.believes_fact tree ~agent:i ~cmp ~threshold fg in
-      mk ~evidence:(Belief (bcells_of tree ~agent:i ~cmp ~threshold fg)) fact [ n ]
-    | EveryoneKnows (grp, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact =
-        Fact.conj tree (List.map (fun i -> Semantics.knows_fact tree ~agent:i fg) grp)
+      let children =
+        Array.to_list (Array.map (fun b -> Option.get nodes.(b)) e.children)
       in
-      let cells =
-        List.concat_map (fun i -> kcells_of tree ~agent:i fg) (group_agents grp)
-      in
-      mk ~evidence:(Knowledge cells) fact [ n ]
-    | CommonKnows (grp, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact, trace =
-        gfp_trace tree (fun x ->
-            let body = Fact.and_ fg x in
-            Fact.conj tree
-              (List.map (fun i -> Semantics.knows_fact tree ~agent:i body) grp))
-      in
-      mk ~evidence:(Fixpoint trace) fact [ n ]
-    | EveryoneBelieves (grp, threshold, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let fact =
-        Fact.conj tree
-          (List.map
-             (fun i ->
-               Semantics.believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold fg)
-             grp)
-      in
-      let cells =
-        List.concat_map
-          (fun i -> bcells_of tree ~agent:i ~cmp:Formula.Geq ~threshold fg)
-          (group_agents grp)
-      in
-      mk ~evidence:(Belief cells) fact [ n ]
-    | CommonBelief (grp, threshold, g) ->
-      let grp = check_group grp in
-      List.iter check_agent grp;
-      let n, fg = go g in
-      let ep fact =
-        Fact.conj tree
-          (List.map
-             (fun i ->
-               Semantics.believes_fact tree ~agent:i ~cmp:Formula.Geq ~threshold fact)
-             grp)
-      in
-      let base = ep fg in
-      let fact, trace = gfp_trace tree (fun x -> Fact.and_ base (ep x)) in
-      mk ~evidence:(Fixpoint trace) fact [ n ]
-  in
-  (* The closure table is the certificate skeleton: its entries list
-     every distinct subformula children-before-parents, so walking it
-     in bit order certifies bottom-up — each [go] finds its children
-     already memoized, and the final [go formula] just reads the root
-     entry back. Node structure, sharing and JSON are identical to the
-     plain recursive descent (the memo is keyed the same way); the
-     table only fixes the construction schedule, which is what lets
-     the certificate mirror the vectorized engine's evaluation order. *)
-  Array.iter
-    (fun (e : Closure.entry) -> ignore (go e.formula))
-    (Closure.entries (Closure.of_formula formula));
-  let root, _fact = go formula in
+      nodes.(e.bit) <- Some { formula = e.formula; points; evidence; children })
+    (Closure.entries clo);
   {
     version = schema_version;
     n_agents = Tree.n_agents tree;
     n_runs = Tree.n_runs tree;
     n_points = Tree.n_points tree;
-    root;
+    root = Option.get nodes.(Closure.root_bit clo);
   }
 
 let certify_result tree ~valuation formula =
@@ -578,7 +442,7 @@ let check ?valuation tree cert =
     let direct pred =
       (match n.evidence with
       | Direct -> ()
-      | _ -> failf path f "unexpected evidence kind for a %s node" (kind_of f));
+      | _ -> failf path f "unexpected evidence kind for a %s node" (Semantics.op_tag f));
       match pred with Some pred -> assert_pointwise path f pset pred | None -> ()
     in
     let child_pset i = List.nth child_psets i in
@@ -663,7 +527,7 @@ let check ?valuation tree cert =
       | Knowledge cells ->
         let tables = check_kcells path f agents (child_pset 0) cells in
         assert_pointwise path f pset (table_pred tables)
-      | _ -> failf path f "expected knowledge-cell evidence for a %s node" (kind_of f))
+      | _ -> failf path f "expected knowledge-cell evidence for a %s node" (Semantics.op_tag f))
     | Believes (_, _, _, _) | EveryoneBelieves (_, _, _) -> (
       let agents, cmp, threshold =
         match f with
@@ -677,7 +541,7 @@ let check ?valuation tree cert =
       | Belief cells ->
         let tables = check_bcells path f agents ~cmp ~threshold (child_pset 0) cells in
         assert_pointwise path f pset (table_pred tables)
-      | _ -> failf path f "expected belief-cell evidence for a %s node" (kind_of f))
+      | _ -> failf path f "expected belief-cell evidence for a %s node" (Semantics.op_tag f))
     | CommonKnows (grp, _) -> (
       let agents = check_group path f grp in
       match n.evidence with
@@ -776,7 +640,7 @@ let to_json cert =
     Buffer.add_string buf "{\"formula\":";
     add_jstring buf (Formula.to_string n.formula);
     Buffer.add_string buf ",\"kind\":";
-    add_jstring buf (kind_of n.formula);
+    add_jstring buf (Semantics.op_tag n.formula);
     Buffer.add_string buf ",\"points\":";
     add_points buf n.points;
     (match n.evidence with
@@ -899,9 +763,9 @@ let rec node_of v =
     | Result.Error e -> raise (Decode (Printf.sprintf "unparseable formula %S: %s" text (Error.to_string e)))
   in
   let kind = jstr (jfield o "kind") in
-  if kind <> kind_of formula then
+  if kind <> Semantics.op_tag formula then
     raise
-      (Decode (Printf.sprintf "node kind %S does not match formula %S (%s)" kind text (kind_of formula)));
+      (Decode (Printf.sprintf "node kind %S does not match formula %S (%s)" kind text (Semantics.op_tag formula)));
   let points = jpoints (jfield o "points") in
   let evidence =
     match List.assoc_opt "evidence" o with

@@ -1,10 +1,10 @@
 (** Evaluation provenance: witness certificates for {!Pak_logic.Semantics}
     verdicts, and an independent checker that re-verifies them.
 
-    {!certify} evaluates a formula the same way [Semantics.eval] does —
-    through the same [knows_fact]/[believes_fact]/fixpoint building
-    blocks — but records {e why} at every step: per subformula the
-    satisfying point set, and per modality the local evidence (the
+    {!certify} evaluates a formula with the production evaluator's
+    closure pass ({!Semantics.eval_closure}, the pass behind
+    [Semantics.eval_vec]) and records {e why} at every step: per
+    subformula the satisfying point set, and per modality the local evidence (the
     indistinguishability cell scanned for [K_i], the conditioning cell
     with its exact rational measures for [B_i^{⋈q}], the
     iteration-by-iteration shrinking approximants for the [C_G]/[CB_G^q]
@@ -102,16 +102,15 @@ val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val certify : Tree.t -> valuation:Semantics.valuation -> Formula.t -> t
-(** Evaluate [formula] on [tree], recording a witness tree. The root
-    point set always equals [Semantics.eval]'s fact extensionally (both
-    are built from the same {!Semantics.knows_fact} /
-    {!Semantics.believes_fact} primitives and the same fixpoint loop);
-    the qcheck suite enforces this on thousands of generated systems.
-    Fixpoint iterations charge the installed {!Pak_guard.Budget} like
-    [eval] does.
+(** Evaluate [formula] on [tree], recording a witness tree. One run of
+    {!Semantics.eval_closure} gives every node's point set and every
+    fixpoint approximant, so the root point set is [Semantics.eval_vec]'s
+    fact; the qcheck suite checks it against the recursive oracle
+    [Semantics.eval] on 1000 generated systems. Charges the installed
+    {!Pak_guard.Budget} as [eval_vec] does.
 
     @raise Invalid_argument on an out-of-range agent or empty group,
-    exactly as [Semantics.eval]. *)
+    with [eval_vec]'s message. *)
 
 val certify_result :
   Tree.t -> valuation:Semantics.valuation -> Formula.t -> (t, Pak_guard.Error.t) result

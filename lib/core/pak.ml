@@ -33,9 +33,13 @@ module Closure = Pak_logic.Closure
 module Semantics = struct
   include Pak_logic.Semantics
 
-  (* The provenance layer's certifying evaluator, re-exported here so
-     the umbrella API offers [Semantics.certify] next to [eval]. *)
-  let certify = Pak_cert.Cert.certify
+  (* Compatibility constants for perfbench/, which still calls the
+     engine-selection API that no longer exists: there is one
+     production evaluator, [eval_vec]. Delete them when perfbench is
+     next updated. *)
+  let eval_auto = eval_vec
+  let current_engine () = ()
+  let engine_name () = "vectorized"
 end
 
 module Cert = Pak_cert.Cert

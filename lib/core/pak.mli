@@ -56,14 +56,20 @@ module Tree_io = Pak_pps.Tree_io
 module Formula = Pak_logic.Formula
 module Parser = Pak_logic.Parser
 
-(** {!Pak_logic.Semantics} extended with the provenance layer's
-    certifying evaluator: [Semantics.certify] produces a
-    {!Cert.t} witness tree whose root verdict always agrees with
-    [Semantics.eval]. *)
+(** {!Pak_logic.Semantics}, plus three constants kept only for
+    [perfbench/], which predates the single production evaluator.
+    They will be removed; use {!Pak_logic.Semantics.eval_vec}. *)
 module Semantics : sig
   include module type of Pak_logic.Semantics
 
-  val certify : Pak_pps.Tree.t -> valuation:valuation -> Pak_logic.Formula.t -> Pak_cert.Cert.t
+  val eval_auto :
+    ?pool:Pak_par.Pool.t -> Pak_pps.Tree.t -> valuation:valuation -> Pak_logic.Formula.t ->
+    Pak_pps.Fact.t
+  (** [eval_vec]. *)
+
+  val current_engine : unit -> unit
+  val engine_name : unit -> string
+  (** Always ["vectorized"]. *)
 end
 
 module Cert = Pak_cert.Cert

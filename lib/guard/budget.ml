@@ -89,7 +89,15 @@ let exempt_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
    scopes behind the flag, so staleness never misdirects a charge. *)
 let local_scopes = Atomic.make 0
 
-let refresh_active () = active := Option.is_some !global || Atomic.get local_scopes > 0
+(* Re-check after the write: two domains refreshing concurrently may
+   store their results in either order, and the one whose value went
+   stale must correct it, or [active] could stay set after every scope
+   is gone. *)
+let rec refresh_active () =
+  let wanted () = Option.is_some !global || Atomic.get local_scopes > 0 in
+  let v = wanted () in
+  active := v;
+  if wanted () <> v then refresh_active ()
 
 let current () =
   match Domain.DLS.get local_key with Some _ as s -> s | None -> !global

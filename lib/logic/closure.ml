@@ -4,7 +4,7 @@
    smaller bits than their parents, the first occurrence of a repeated
    subformula fixes its bit, and the root ends up last. Hash-consing
    uses structural equality on Formula.t — the same keying as the
-   recursive evaluator's memo table, so the two engines agree on what
+   recursive evaluator's memo table, so both evaluators agree on what
    counts as "one distinct subformula". *)
 
 module Obs = Pak_obs.Obs

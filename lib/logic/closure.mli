@@ -61,9 +61,9 @@ val bit_of : t -> Formula.t -> int option
 val duplicates : t -> int
 (** Number of subformula {e occurrences} resolved by hash-consing
     during the build — occurrences minus distinct subformulas. Equals
-    the recursive engine's [semantics.memo_hits] count for the same
+    the recursive oracle's [semantics.memo_hits] count for the same
     formula, which is how {!Semantics.eval_vec} keeps the memo
-    counters engine-invariant. *)
+    counters equal to the oracle's. *)
 
 val digest : t -> string
 (** Hex digest of the full bit assignment (every entry's bit, rendered

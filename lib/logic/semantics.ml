@@ -49,12 +49,16 @@ type valuation = string -> Gstate.t -> bool
 
 let generic_valuation atom g =
   (* generic atoms: "a<i>_<label>" tests agent i's label. The agent
-     index is every digit up to the first underscore, so the valuation
-     works for systems with any number of agents. *)
+     index is the decimal digits up to the first underscore — no sign
+     and no 0x/0o/0b/0u prefix, which int_of_string_opt alone would
+     accept — so the valuation works for systems with any number of
+     agents. *)
   match String.index_opt atom '_' with
   | Some sep when sep > 1 && atom.[0] = 'a' ->
-    (match int_of_string_opt (String.sub atom 1 (sep - 1)) with
-     | Some i when i >= 0 && i < Gstate.n_agents g ->
+    let digits = String.sub atom 1 (sep - 1) in
+    (match int_of_string_opt digits with
+     | Some i
+       when String.for_all (fun c -> c >= '0' && c <= '9') digits && i < Gstate.n_agents g ->
        Gstate.local g i = String.sub atom (sep + 1) (String.length atom - sep - 1)
      | _ -> false)
   | _ -> false
@@ -115,6 +119,8 @@ let gfp tree ~counter step =
   in
   iterate (Fact.tt tree)
 
+(* The recursive engine: the reference oracle that eval_vec is tested
+   against. No production path calls it. *)
 let eval tree ~valuation formula =
   let memo : (Formula.t, Fact.t) Hashtbl.t = Hashtbl.create 32 in
   let check_agent i =
@@ -196,7 +202,7 @@ let eval tree ~valuation formula =
   Obs.span "semantics.eval" (fun () -> go formula)
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized engine: closure table + packed truth vectors              *)
+(* The production evaluator: closure table + packed truth vectors      *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Pak_par.Pool
@@ -205,19 +211,17 @@ let c_vec_evals = Obs.counter "eval_vec.evals"
 let c_vec_entries = Obs.counter "eval_vec.entries"
 let c_vec_cells = Obs.counter "eval_vec.cells"
 
-(* One evaluation = one Closure.of_formula + one packed Bitset.t over
-   point indices per closure entry, filled bottom-up (children first —
-   the closure's bit order is a valid schedule). Point (r,t) gets the
-   dense index offsets.(r) + t. Counter contract with the recursive
-   engine: semantics.memo_misses = closure entries (one "miss" per
-   distinct subformula), semantics.memo_hits = hash-consed duplicate
+(* One pass = one packed Bitset.t over point indices per closure
+   entry, filled bottom-up (children first — the closure's bit order is
+   a valid schedule). Point (r,t) gets the dense index offsets.(r) + t.
+   Counter contract with the recursive oracle [eval]:
+   semantics.memo_misses = closure entries (one "miss" per distinct
+   subformula), semantics.memo_hits = hash-consed duplicate
    occurrences, and the gfp iteration counters are bumped step-for-step
-   identically — so the memo and fixpoint telemetry is engine-invariant
-   while bitset.*/eval_vec.*/closure.* profile the vector work. *)
-let eval_vec ?pool tree ~valuation formula =
-  Obs.span "semantics.eval_vec" @@ fun () ->
+   identically — so the memo and fixpoint telemetry is the same for
+   both, while bitset.*/eval_vec.*/closure.* profile the vector work. *)
+let eval_closure ?pool ?on_gfp_step tree ~valuation clo =
   Obs.incr c_vec_evals;
-  let clo = Closure.of_formula formula in
   let n_runs = Tree.n_runs tree in
   let offsets = Array.make (max 1 n_runs) 0 in
   let total = ref 0 in
@@ -292,6 +296,7 @@ let eval_vec ?pool tree ~valuation formula =
   let epvec grp threshold x =
     inter_all (List.map (fun i -> bvec ~agent:i ~cmp:Formula.Geq ~threshold x) grp)
   in
+  let fact_of v = Fact.of_pred tree (fun ~run ~time -> Bitset.mem v (offsets.(run) + time)) in
   (* Same counting discipline as [gfp]: one iteration = one step
      application, bumped before the step so an exhausted --max-iters
      budget trips identically; the whole-vector equality test charges
@@ -299,12 +304,13 @@ let eval_vec ?pool tree ~valuation formula =
      sequences of the two engines are extensionally equal (both start
      at ⊤ and apply pointwise-equal steps), so the iteration counts
      match exactly. *)
-  let gfp_vec ~counter step =
+  let gfp_vec ~bit ~counter step =
     let rec iterate x =
       Obs.incr c_gfp_iters;
       Obs.incr counter;
       Budget.charge_iters 1;
       let x' = step x in
+      Option.iter (fun f -> f bit (fact_of x')) on_gfp_step;
       Budget.charge_points n;
       if Bitset.equal x x' then x else iterate x'
     in
@@ -403,7 +409,7 @@ let eval_vec ?pool tree ~valuation formula =
           let grp = check_group grp in
           List.iter check_agent grp;
           let inner = child 0 in
-          gfp_vec ~counter:c_gfp_iters_ck (fun x -> evec grp (Bitset.inter inner x))
+          gfp_vec ~bit:e.bit ~counter:c_gfp_iters_ck (fun x -> evec grp (Bitset.inter inner x))
         | EveryoneBelieves (grp, threshold, _) ->
           let grp = check_group grp in
           List.iter check_agent grp;
@@ -412,48 +418,28 @@ let eval_vec ?pool tree ~valuation formula =
           let grp = check_group grp in
           List.iter check_agent grp;
           let base = epvec grp threshold (child 0) in
-          gfp_vec ~counter:c_gfp_iters_cb (fun x -> Bitset.inter base (epvec grp threshold x))
+          gfp_vec ~bit:e.bit ~counter:c_gfp_iters_cb (fun x -> Bitset.inter base (epvec grp threshold x))
       in
       nvec.(e.bit) <- v)
     (Closure.entries clo);
   Obs.add c_memo_hits (Closure.duplicates clo);
-  let root = nvec.(Closure.root_bit clo) in
-  Fact.of_pred tree (fun ~run ~time -> Bitset.mem root (offsets.(run) + time))
+  fun bit -> fact_of nvec.(bit)
 
-(* ------------------------------------------------------------------ *)
-(* Engine selection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type engine = Recursive | Vectorized
-
-let engine_name = function Recursive -> "recursive" | Vectorized -> "vectorized"
-
-let engine_of_string = function
-  | "recursive" -> Some Recursive
-  | "vectorized" -> Some Vectorized
-  | _ -> None
-
-(* Atomic so front ends that set it once at startup and then evaluate
-   from pool domains (serve) read it race-free. *)
-let selected_engine = Atomic.make Vectorized
-let set_engine e = Atomic.set selected_engine e
-let current_engine () = Atomic.get selected_engine
-
-let eval_auto ?pool tree ~valuation formula =
-  match current_engine () with
-  | Recursive -> eval tree ~valuation formula
-  | Vectorized -> eval_vec ?pool tree ~valuation formula
+let eval_vec ?pool tree ~valuation formula =
+  Obs.span "semantics.eval_vec" @@ fun () ->
+  let clo = Closure.of_formula formula in
+  eval_closure ?pool tree ~valuation clo (Closure.root_bit clo)
 
 let sat tree ~valuation formula ~run ~time =
-  Fact.holds (eval tree ~valuation formula) ~run ~time
+  Fact.holds (eval_vec tree ~valuation formula) ~run ~time
 
 let valid tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
+  let fact = eval_vec tree ~valuation formula in
   Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
       acc && Fact.holds fact ~run ~time)
 
 let valid_initially tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
+  let fact = eval_vec tree ~valuation formula in
   let ok = ref true in
   for run = 0 to Tree.n_runs tree - 1 do
     if not (Fact.holds fact ~run ~time:0) then ok := false
@@ -461,7 +447,7 @@ let valid_initially tree ~valuation formula =
   !ok
 
 let probability tree ~valuation formula =
-  let fact = eval tree ~valuation formula in
+  let fact = eval_vec tree ~valuation formula in
   let ev = ref (Tree.empty_event tree) in
   for run = 0 to Tree.n_runs tree - 1 do
     if Fact.holds fact ~run ~time:0 then ev := Bitset.add !ev run

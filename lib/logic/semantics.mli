@@ -18,81 +18,68 @@ type valuation = string -> Gstate.t -> bool
 val generic_valuation : valuation
 (** The label-testing valuation shared by the CLI and the provenance
     layer: atom ["a<i>_<label>"] holds iff agent [i]'s current
-    local-state label is [label] (any agent count); every other atom is
+    local-state label is [label] (any agent count). [<i>] must be
+    decimal digits; every other atom (["a0x1_l"], ["a+1_l"], ...) is
     false. *)
 
 val eval : Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** Evaluate a formula to the fact (set of points) where it holds, by
-    structural recursion with a formula-keyed memo (the {e recursive}
-    engine). Subformulas are memoized, so shared structure is
-    evaluated once. *)
+(** The {e recursive} engine: structural recursion with a
+    formula-keyed memo. No production path calls it; it is the
+    reference oracle that {!eval_vec} is tested against (the
+    cross-engine qcheck in [test/test_logic.ml], [tools/fuzz.exe
+    --mode eval-vec] and the benchmark's answer oracle). *)
+
+val eval_closure :
+  ?pool:Pak_par.Pool.t ->
+  ?on_gfp_step:(int -> Fact.t -> unit) ->
+  Tree.t ->
+  valuation:valuation ->
+  Closure.t ->
+  int ->
+  Fact.t
+(** The closure pass behind {!eval_vec}: one packed truth vector
+    ({!Pak_pps.Bitset.t} over dense point indices) per entry of the
+    closure, filled bottom-up — connectives are bulk bitset operations,
+    [K_i]/[E_G] and [B_i^{⋈q}]/[EB_G^q] are per-indistinguishability-cell
+    sweeps (sharded on [pool] when given), and the [C_G]/[CB_G^q]
+    fixpoints iterate whole vectors. [eval_closure tree ~valuation clo]
+    runs the whole pass and returns the fact of the entry at a given
+    bit, materialised on demand.
+
+    [on_gfp_step bit x] is called after every fixpoint step of the
+    entry at [bit] with the new approximant [x] (the last call of a
+    fixpoint repeats its result), so a caller can record the
+    approximant sequence without re-evaluating.
+
+    Bumps [semantics.memo_hits]/[_misses] and the
+    [semantics.gfp_iters*] counters exactly as {!eval} does on the
+    closure's formula (one miss per entry, one hit per hash-consed
+    duplicate, one iteration per fixpoint step); the vector work is
+    profiled by the [eval_vec.*] and [bitset.*] counters and the
+    [semantics.eval_vec.<op>] spans. Charges the points budget one
+    whole vector per entry and per fixpoint equality test, and the
+    iterations budget one per fixpoint step.
+    @raise Invalid_argument on an agent out of range or an empty
+    group, as {!eval} does. *)
 
 val eval_vec : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** The {e vectorized} engine: build the {!Closure} of the formula
-    once, then evaluate bottom-up with one packed truth-vector
-    ({!Pak_pps.Bitset.t} over dense point indices) per closure entry —
-    connectives are bulk bitset operations, [K_i]/[E_G] and
-    [B_i^{⋈q}]/[EB_G^q] are per-indistinguishability-cell sweeps
-    (sharded on [pool] when given), and the [C_G]/[CB_G^q] fixpoints
-    iterate whole vectors. Extensionally equal to {!eval} — same fact,
-    same raised errors — and bumps [semantics.memo_hits]/[_misses] and
-    the [semantics.gfp_iters*] counters identically (one miss per
-    closure entry, one hit per hash-consed duplicate, one iteration
-    per fixpoint step); the vector work itself is profiled by the
-    [closure.*], [eval_vec.*] and [bitset.*] counters and the
-    [semantics.eval_vec(.op)] spans. Charges the points budget one
-    whole vector per entry and per fixpoint equality test.
-    See [doc/EVALUATION.md] for the pipeline spec. *)
+(** The production evaluator: build the {!Closure} of the formula and
+    return the root of {!eval_closure}, under a [semantics.eval_vec]
+    span. Extensionally equal to {!eval} — same fact, same raised
+    errors, same engine-invariant counters. See [doc/EVALUATION.md]
+    for the pipeline spec. *)
 
-(** {1 Engine selection}
-
-    Front ends choose the engine once (the [--engine] flag); library
-    callers that want the process-wide selection go through
-    {!eval_auto}. Calling {!eval} or {!eval_vec} directly always uses
-    that specific engine. *)
-
-type engine = Recursive | Vectorized
-
-val engine_name : engine -> string
-(** ["recursive"] / ["vectorized"] — the [--engine] flag's values. *)
-
-val engine_of_string : string -> engine option
-
-val set_engine : engine -> unit
-(** Set the process-wide engine used by {!eval_auto}. The default is
-    [Vectorized]. The selection is stored atomically, so setting it
-    once at startup and reading from pool domains is race-free. *)
-
-val current_engine : unit -> engine
-
-val eval_auto : ?pool:Pak_par.Pool.t -> Tree.t -> valuation:valuation -> Formula.t -> Fact.t
-(** {!eval} or {!eval_vec} according to {!current_engine}. [pool] is
-    used only by the vectorized engine (cell sweeps); the recursive
-    engine ignores it. *)
-
-(** {1 Evaluation primitives}
-
-    The building blocks [eval] combines, exposed so the provenance
-    layer ([Pak_cert]) can certify with {e exactly} the evaluator's
-    semantics rather than a reimplementation. *)
+val op_tag : Formula.t -> string
+(** Label of a formula's top connective (["K"], ["CB"], ["atom"], ...):
+    the suffix of the per-operator spans, and the certificate's node
+    kind. *)
 
 val satisfies_cmp : Formula.cmp -> Pak_rational.Q.t -> Pak_rational.Q.t -> bool
 (** [satisfies_cmp cmp degree threshold] is [degree ⋈ threshold]. *)
 
-val knows_fact : Tree.t -> agent:int -> Fact.t -> Fact.t
-(** The fact [K_i ϕ] given the fact for ϕ: true at a point iff ϕ holds
-    at every run of the agent's indistinguishability cell there. *)
+(** {1 Queries}
 
-val believes_fact :
-  Tree.t ->
-  agent:int ->
-  cmp:Formula.cmp ->
-  threshold:Pak_rational.Q.t ->
-  Fact.t ->
-  Fact.t
-(** The fact [B_i^{⋈q} ϕ] given the fact for ϕ: true at a point iff the
-    agent's degree of belief ({!Pak_pps.Belief.degree_at_lstate}) at
-    its local state compares as required against the threshold. *)
+    Each evaluates the formula once with {!eval_vec}. *)
 
 val sat : Tree.t -> valuation:valuation -> Formula.t -> run:int -> time:int -> bool
 (** [(T, r, t) ⊨ ϕ]. *)

@@ -22,24 +22,9 @@ let default_params =
     deterministic_acts = false
   }
 
-(* SplitMix64-style generator on the 63-bit native int; quality is more
-   than sufficient for structural test-case generation. *)
-module Prng = struct
-  type t = { mutable state : int }
-
-  let create seed = { state = (seed * 2_654_435_769) lxor 0x9E3779B9 }
-
-  (* SplitMix constants truncated to fit OCaml's 63-bit int literals;
-     multiplication wraps modulo 2^63, which is what we want. *)
-  let next g =
-    g.state <- (g.state + 0x1E3779B97F4A7C15) land max_int;
-    let z = g.state in
-    let z = (z lxor (z lsr 30)) * 0x1F58476D1CE4E5B9 in
-    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-    (z lxor (z lsr 31)) land max_int
-
-  let int g bound = if bound <= 0 then 0 else next g mod bound
-end
+(* Gen's stream salt (Simulate uses another, so equal seeds give
+   independent streams). *)
+let prng seed = Prng.create ~salt:0x9E3779B9 seed
 
 let normalized_weights rng ~max_weight k =
   let ws = List.init k (fun _ -> 1 + Prng.int rng max_weight) in
@@ -57,7 +42,7 @@ let normalized_weights rng ~max_weight k =
    depth) are always proper. *)
 let tree ?(params = default_params) seed =
   let p = params in
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
   let fresh_labels depth =
     Array.init p.n_agents (fun _ ->
@@ -142,7 +127,7 @@ let tree ?(params = default_params) seed =
    class. *)
 let tree_arbitrary ?(params = default_params) seed =
   let p = params in
-  let rng = Prng.create (seed lxor 0x3C6EF372) in
+  let rng = prng (seed lxor 0x3C6EF372) in
   let b = Tree.Builder.create ~n_agents:p.n_agents in
   let fresh_labels depth =
     Array.init p.n_agents (fun _ ->
@@ -186,12 +171,12 @@ let tree_arbitrary ?(params = default_params) seed =
   Tree.Builder.finalize b
 
 let past_based_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x5DEECE66D) in
+  let rng = prng (seed lxor 0x5DEECE66D) in
   let per_node = Array.init (Tree.n_nodes tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_pred tree (fun ~run ~time -> per_node.(Tree.run_node tree ~run ~time))
 
 let transient_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x2545F491) in
+  let rng = prng (seed lxor 0x2545F491) in
   (* Pre-draw one bit per point, in a fixed iteration order. *)
   let bits = Hashtbl.create 64 in
   Tree.iter_points tree (fun ~run ~time ->
@@ -199,7 +184,7 @@ let transient_fact tree ~seed =
   Fact.of_pred tree (fun ~run ~time -> Hashtbl.find bits (run, time))
 
 let run_fact tree ~seed =
-  let rng = Prng.create (seed lxor 0x41C64E6D) in
+  let rng = prng (seed lxor 0x41C64E6D) in
   let per_run = Array.init (Tree.n_runs tree) (fun _ -> Prng.int rng 2 = 0) in
   Fact.of_run_pred tree (fun run -> per_run.(run))
 
@@ -216,5 +201,5 @@ let pick_proper_action tree ~seed =
   match proper_actions tree with
   | [] -> None
   | actions ->
-    let rng = Prng.create (seed lxor 0x6C078965) in
+    let rng = prng (seed lxor 0x6C078965) in
     Some (List.nth actions (Prng.int rng (List.length actions)))

@@ -5,20 +5,9 @@ module Obs = Pak_obs.Obs
 let c_samples = Obs.counter "simulate.samples"
 let c_accepted = Obs.counter "simulate.accepted"
 
-(* Same SplitMix-style generator as Gen; duplicated locally to keep the
-   modules' streams independent. *)
-module Prng = struct
-  type t = { mutable state : int }
-
-  let create seed = { state = (seed * 2_654_435_769) lxor 0x51D2B4C7 }
-
-  let next g =
-    g.state <- (g.state + 0x1E3779B97F4A7C15) land max_int;
-    let z = g.state in
-    let z = (z lxor (z lsr 30)) * 0x1F58476D1CE4E5B9 in
-    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-    (z lxor (z lsr 31)) land max_int
-end
+(* Simulate's stream salt (Gen uses another, so equal seeds give
+   independent streams). *)
+let prng seed = Prng.create ~salt:0x51D2B4C7 seed
 
 (* Draw a uniform rational in [0,1) with denominator 2^30 — plenty of
    resolution against the edge probabilities that occur in practice. *)
@@ -64,13 +53,13 @@ let walk tree rng leaves =
   Hashtbl.find leaves !node
 
 let sample_run tree ~seed =
-  let rng = Prng.create seed in
+  let rng = prng seed in
   Obs.incr c_samples;
   walk tree rng (leaf_index tree)
 
 let sample_runs tree ~samples ~seed =
   if samples < 0 then invalid_arg "Simulate.sample_runs: negative sample count";
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let leaves = leaf_index tree in
   Obs.add c_samples samples;
   Array.init samples (fun _ -> walk tree rng leaves)
@@ -115,7 +104,7 @@ let mix_seed seed b =
   (z lxor (z lsr 16)) land max_int
 
 let block_counts tree ~event ~given leaves ~seed ~n =
-  let rng = Prng.create seed in
+  let rng = prng seed in
   let hits = ref 0 and given_hits = ref 0 in
   for _ = 1 to n do
     let r = walk tree rng leaves in

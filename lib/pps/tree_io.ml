@@ -7,17 +7,6 @@ exception Parse_error of string
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let quote buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_string tree =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "(pps (agents %d)\n" (Tree.n_agents tree));
@@ -44,15 +33,15 @@ let to_string tree =
     Array.iter
       (fun a ->
         Buffer.add_char buf ' ';
-        quote buf a)
+        Sexp.quote buf a)
       acts;
     Buffer.add_string buf ") (env ";
-    quote buf state.Gstate.env;
+    Sexp.quote buf state.Gstate.env;
     Buffer.add_string buf ") (locals";
     Array.iter
       (fun l ->
         Buffer.add_char buf ' ';
-        quote buf l)
+        Sexp.quote buf l)
       state.Gstate.locals;
     Buffer.add_string buf "))\n"
   done;
@@ -60,117 +49,34 @@ let to_string tree =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: a minimal s-expression reader                              *)
-(* ------------------------------------------------------------------ *)
-
-type sexp = Atom of string | Str of string | List of sexp list
-
-let tokenize input =
-  let n = String.length input in
-  let tokens = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = input.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '(' then begin
-      tokens := `Open :: !tokens;
-      incr i
-    end
-    else if c = ')' then begin
-      tokens := `Close :: !tokens;
-      incr i
-    end
-    else if c = '"' then begin
-      let buf = Buffer.create 16 in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        (match input.[!i] with
-         | '"' -> closed := true
-         | '\\' ->
-           if !i + 1 >= n then raise (Parse_error "dangling escape in string");
-           incr i;
-           Buffer.add_char buf input.[!i]
-         | c -> Buffer.add_char buf c);
-        incr i
-      done;
-      if not !closed then raise (Parse_error "unterminated string");
-      tokens := `Str (Buffer.contents buf) :: !tokens
-    end
-    else begin
-      let j = ref !i in
-      while
-        !j < n
-        &&
-        let c = input.[!j] in
-        c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r' && c <> '(' && c <> ')' && c <> '"'
-      do
-        incr j
-      done;
-      tokens := `Atom (String.sub input !i (!j - !i)) :: !tokens;
-      i := !j
-    end
-  done;
-  List.rev !tokens
-
-(* Nesting bound: documents are untrusted, and the depth of legitimate
-   pps documents is constant (node fields), so any deeply-nested input
-   is garbage. The explicit accumulator stack keeps parsing
-   tail-recursive — parse depth and list length are both
-   input-controlled and must not be able to overflow the OCaml stack. *)
-let max_nesting = 1000
-
-let parse_sexp tokens =
-  let rec go depth stack acc tokens =
-    match tokens with
-    | [] ->
-      if depth > 0 then raise (Parse_error "unterminated '('")
-      else (
-        match List.rev acc with
-        | [ sexp ] -> sexp
-        | [] -> raise (Parse_error "unexpected end of input")
-        | _ -> raise (Parse_error "trailing input after document"))
-    | `Open :: rest ->
-      if depth >= max_nesting then
-        raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_nesting));
-      go (depth + 1) (acc :: stack) [] rest
-    | `Close :: rest ->
-      (match stack with
-       | [] -> raise (Parse_error "unexpected ')'")
-       | parent :: stack' -> go (depth - 1) stack' (List (List.rev acc) :: parent) rest)
-    | `Atom a :: rest -> go depth stack (Atom a :: acc) rest
-    | `Str s :: rest -> go depth stack (Str s :: acc) rest
-  in
-  go 0 [] [] tokens
-
-(* ------------------------------------------------------------------ *)
 (* Document interpretation                                             *)
 (* ------------------------------------------------------------------ *)
 
 let field name = function
-  | List (Atom key :: rest) when key = name -> rest
+  | Sexp.List (Sexp.Atom key :: rest) when key = name -> rest
   | _ -> raise (Parse_error (Printf.sprintf "expected (%s ...)" name))
 
 let as_int what = function
-  | Atom a ->
+  | Sexp.Atom a ->
     (match int_of_string_opt a with
      | Some v -> v
      | None -> raise (Parse_error (what ^ ": not an integer")))
   | _ -> raise (Parse_error (what ^ ": not an integer"))
 
 let as_string what = function
-  | Str s -> s
+  | Sexp.Str s -> s
   | _ -> raise (Parse_error (what ^ ": not a string"))
 
 let as_q what = function
-  | Atom a ->
+  | Sexp.Atom a ->
     (try Q.of_string a
      with _ -> raise (Parse_error (what ^ ": not a rational")))
   | _ -> raise (Parse_error (what ^ ": not a rational"))
 
 let interpret input =
-  match parse_sexp (tokenize input) with
-  | List (Atom "pps" :: header :: nodes) ->
+  match Sexp.parse input with
+  | Error msg -> raise (Parse_error msg)
+  | Ok (Sexp.List (Sexp.Atom "pps" :: header :: nodes)) ->
     let n_agents =
       match field "agents" header with
       | [ v ] -> as_int "agents" v
@@ -180,7 +86,7 @@ let interpret input =
     List.iter
       (fun node ->
         match node with
-        | List (Atom "node" :: fields) ->
+        | Sexp.List (Sexp.Atom "node" :: fields) ->
           (match fields with
            | [ parent_f; prob_f; acts_f; env_f; locals_f ] ->
              let parent =
@@ -209,7 +115,7 @@ let interpret input =
         | _ -> raise (Parse_error "expected (node ...)"))
       nodes;
     Tree.Builder.finalize b
-  | _ -> raise (Parse_error "expected (pps (agents n) (node ...) ...)")
+  | Ok _ -> raise (Parse_error "expected (pps (agents n) (node ...) ...)")
 
 (* The typed boundary. Lexical/grammatical failures are [Parse];
    well-formed documents violating a tree invariant (bad probabilities,

@@ -11,7 +11,8 @@
     Nodes appear in id order (so parents always precede children), with
     [parent -1] marking initial states. Labels are quoted strings with
     ["\\"]-escapes for quotes and backslashes; probabilities are exact
-    rationals. Parsing rebuilds the tree through {!Tree.Builder}, so
+    rationals. Documents are read by {!Sexp}, so they share its syntax
+    and its nesting cap with serve frames. Parsing rebuilds the tree through {!Tree.Builder}, so
     every structural invariant is re-validated on load; a parsed tree
     is observationally identical to the original (same runs, measures,
     labels, actions — checked in the test suite). *)

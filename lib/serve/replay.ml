@@ -10,7 +10,6 @@
 
 module Journal = Pak_journal.Journal
 module Budget = Pak_guard.Budget
-module Semantics = Pak_logic.Semantics
 
 type divergence = {
   d_seq : int;
@@ -38,11 +37,10 @@ let meta_of_config (cfg : Serve.config) =
   let lim = function None -> "none" | Some v -> string_of_int v in
   let l = cfg.Serve.limits in
   Printf.sprintf
-    "(serve-config (version 1) (engine %s) (jobs %d) (max-pending %d) \
+    "(serve-config (version 1) (jobs %d) (max-pending %d) \
      (batch %d) (max-frame %d) (cache-max %d) (tree-cache-max %d) \
      (drain-ms %s) (retry-after-ms %d) (max-points %s) (max-nodes %s) \
      (max-limbs %s) (max-iters %s) (timeout-ms %s))"
-    (Semantics.engine_name (Semantics.current_engine ()))
     cfg.Serve.jobs cfg.Serve.max_pending cfg.Serve.batch cfg.Serve.max_frame
     cfg.Serve.cache_max cfg.Serve.tree_cache_max
     (lim cfg.Serve.drain_ms)
@@ -55,7 +53,6 @@ let meta_of_config (cfg : Serve.config) =
 
 let config_of_meta s =
   let cfg = ref Serve.default_config in
-  let engine = ref None in
   let set f = cfg := f !cfg in
   let set_limits f = set (fun c -> { c with Serve.limits = f c.Serve.limits }) in
   (match Serve.Sexp.parse s with
@@ -75,7 +72,6 @@ let config_of_meta s =
                   | None -> ()
               in
               match key with
-              | "engine" -> engine := Semantics.engine_of_string v
               | "jobs" -> int_v (fun n -> set (fun c -> { c with Serve.jobs = n }))
               | "max-pending" ->
                   int_v (fun n -> set (fun c -> { c with Serve.max_pending = n }))
@@ -108,11 +104,13 @@ let config_of_meta s =
               | "timeout-ms" ->
                   opt_v (fun n ->
                       set_limits (fun l -> { l with Budget.timeout_ms = n }))
-              | _ -> () (* a newer recorder's field: ignore *))
+              | _ -> ()
+              (* a newer recorder's field, or an older one's (engine E),
+                 which no longer selects anything: ignore *))
           | _ -> ())
         fields
   | _ -> ());
-  (!cfg, !engine)
+  !cfg
 
 (* ------------------------------------------------------------------ *)
 (* Normalization                                                       *)
@@ -193,8 +191,7 @@ let decode_frames bytes =
   go []
 
 let run ?jobs ?clock ?limits (rr : Journal.read_result) =
-  let cfg, engine = config_of_meta rr.Journal.r_meta in
-  (match engine with Some e -> Semantics.set_engine e | None -> ());
+  let cfg = config_of_meta rr.Journal.r_meta in
   let cfg =
     {
       cfg with

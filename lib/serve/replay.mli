@@ -49,17 +49,16 @@ type report = {
 }
 
 val meta_of_config : Serve.config -> string
-(** Render the replay-relevant configuration (plus the active
-    {!Pak_logic.Semantics} engine) as the journal meta string: a
-    [(serve-config (version 1) (engine E) (jobs N) ... )] s-expression.
+(** Render the replay-relevant configuration as the journal meta
+    string: a [(serve-config (version 1) (jobs N) ... )] s-expression.
     Sinks and clocks are process-local and are not recorded. *)
 
-val config_of_meta :
-  string -> Serve.config * Pak_logic.Semantics.engine option
+val config_of_meta : string -> Serve.config
 (** Parse a journal meta string back into a configuration, tolerantly:
     unknown fields are ignored and missing or malformed ones fall back
     to {!Serve.default_config}, so a replay binary can read journals
-    from both older and newer recorders. *)
+    from both older and newer recorders (including the [(engine E)]
+    field older recorders wrote). *)
 
 val strip_groups : string list -> string -> string
 (** [strip_groups names s] removes every balanced [(name ...)] group

@@ -66,127 +66,7 @@ let () =
         ("serve.cache_entries", float_of_int (Atomic.get g_cache_entries));
       ])
 
-(* ------------------------------------------------------------------ *)
-(* S-expressions (same dialect as Tree_io)                             *)
-(* ------------------------------------------------------------------ *)
-
-module Sexp = struct
-  type t = Atom of string | Str of string | List of t list
-
-  let max_nesting = 200
-
-  exception Bad of string
-
-  let quote buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-
-  let rec add_to_buffer buf = function
-    | Atom s -> Buffer.add_string buf s
-    | Str s -> quote buf s
-    | List xs ->
-        Buffer.add_char buf '(';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ' ';
-            add_to_buffer buf x)
-          xs;
-        Buffer.add_char buf ')'
-
-  let to_string x =
-    let buf = Buffer.create 64 in
-    add_to_buffer buf x;
-    Buffer.contents buf
-
-  let tokenize input =
-    let n = String.length input in
-    let toks = ref [] in
-    let i = ref 0 in
-    while !i < n do
-      let c = input.[!i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-      else if c = '(' then begin
-        toks := `Open :: !toks;
-        incr i
-      end
-      else if c = ')' then begin
-        toks := `Close :: !toks;
-        incr i
-      end
-      else if c = '"' then begin
-        let buf = Buffer.create 16 in
-        incr i;
-        let closed = ref false in
-        while (not !closed) && !i < n do
-          (match input.[!i] with
-          | '"' -> closed := true
-          | '\\' ->
-              if !i + 1 >= n then raise (Bad "dangling escape in string");
-              incr i;
-              Buffer.add_char buf input.[!i]
-          | c -> Buffer.add_char buf c);
-          incr i
-        done;
-        if not !closed then raise (Bad "unterminated string");
-        toks := `Str (Buffer.contents buf) :: !toks
-      end
-      else begin
-        let start = !i in
-        while
-          !i < n
-          &&
-          let c = input.[!i] in
-          not
-            (c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '(' || c = ')'
-           || c = '"')
-        do
-          incr i
-        done;
-        toks := `Atom (String.sub input start (!i - start)) :: !toks
-      end
-    done;
-    List.rev !toks
-
-  let parse input =
-    try
-      let stack = ref [] in
-      let depth = ref 0 in
-      let result = ref None in
-      let push v =
-        match !stack with
-        | items :: rest -> stack := (v :: items) :: rest
-        | [] -> (
-            match !result with
-            | None -> result := Some v
-            | Some _ -> raise (Bad "trailing data after toplevel form"))
-      in
-      List.iter
-        (function
-          | `Open ->
-              if !depth >= max_nesting then raise (Bad "nesting too deep");
-              incr depth;
-              stack := [] :: !stack
-          | `Close -> (
-              match !stack with
-              | items :: rest ->
-                  decr depth;
-                  stack := rest;
-                  push (List (List.rev items))
-              | [] -> raise (Bad "unbalanced ')'"))
-          | `Atom s -> push (Atom s)
-          | `Str s -> push (Str s))
-        (tokenize input);
-      if !stack <> [] then raise (Bad "unbalanced '('");
-      match !result with None -> raise (Bad "empty frame") | Some v -> Ok v
-    with Bad m -> Result.Error m
-end
+module Sexp = Pak_pps.Sexp
 
 (* ------------------------------------------------------------------ *)
 (* Frame codec                                                         *)
@@ -884,15 +764,12 @@ let cache_key cfg req =
           (Option.value seed ~default:(-1))
     | Op_metrics | Op_status -> assert false  (* cache_key returns None above *));
     Buffer.add_char b '|';
-    (* Formula component: the engine name plus the formula's closure
-       digest when it parses — the digest canonicalizes spelling, so
-       differently written but structurally identical queries share a
-       cache slot (and closure-identical queries at the same limits are
+    (* Formula component: the formula's closure digest when it parses
+       — the digest canonicalizes spelling, so differently written but
+       structurally identical queries share a cache slot (and closure-identical queries at the same limits are
        subsumed by one computed entry). A formula that does not parse
        keys on its raw text; its request fails in the worker and is
        never cached, so the fallback only disambiguates misses. *)
-    Buffer.add_string b (Semantics.engine_name (Semantics.current_engine ()));
-    Buffer.add_char b ':';
     (match Parser.parse_result req.formula with
     | Ok f -> Buffer.add_string b (Closure.digest (Closure.of_formula f))
     | Result.Error _ -> Buffer.add_string b req.formula);
@@ -974,9 +851,9 @@ and perform_query st req =
     | Ok f -> f
     | Result.Error e -> raise (Error.Error (Error.with_context "formula" e))
   in
-  (* Engine-dispatching evaluation, no pool: serve's parallelism is
-     across requests (one worker domain each), not within one. *)
-  let fact = Semantics.eval_auto tree ~valuation:Semantics.generic_valuation formula in
+  (* No pool: serve's parallelism is across requests (one worker
+     domain each), not within one. *)
+  let fact = Semantics.eval_vec tree ~valuation:Semantics.generic_valuation formula in
   match req.op with
   | Op_eval ->
       let sat = ref 0 in

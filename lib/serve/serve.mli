@@ -94,18 +94,9 @@
     the input stream, so telemetry frames are byte-identical at every
     job count. *)
 
-(** Minimal s-expression values shared by the request and response
-    grammar (same dialect as [Tree_io]: atoms, quoted strings with
-    backslash escapes for the quote and backslash characters, lists). *)
-module Sexp : sig
-  type t = Atom of string | Str of string | List of t list
-
-  val parse : string -> (t, string) result
-  (** One toplevel form; depth-capped, never raises. *)
-
-  val add_to_buffer : Buffer.t -> t -> unit
-  val to_string : t -> string
-end
+(** The request and response grammar's s-expressions: the shared
+    reader, re-exported under its historical path. *)
+module Sexp = Pak_pps.Sexp
 
 (** The length-prefixed frame codec. *)
 module Frame : sig

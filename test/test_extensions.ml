@@ -537,6 +537,31 @@ let test_tree_io_errors () =
   check_bool "invariant violation (mass)" true
     (fails "(pps (agents 1) (node (parent -1) (prob 1/2) (acts) (env \"e\") (locals \"a\")))")
 
+(* The shared reader behind documents, serve frames and journal metas:
+   one value, the round trip, every error in reading order, and the
+   nesting cap at its exact boundary. *)
+let test_sexp_reader () =
+  let result = Alcotest.(result string string) in
+  let show s = Result.map Sexp.to_string (Sexp.parse s) in
+  Alcotest.check result "value" (Ok {|(a "b \" c" (d ()))|})
+    (show " (a \"b \\\" c\" (d ()))\n");
+  Alcotest.check result "string escapes" (Ok {|"x\\y"|}) (show {|"x\\y"|});
+  List.iter
+    (fun (input, msg) -> Alcotest.check result input (Error msg) (show input))
+    [ ("", "empty input");
+      ("  ", "empty input");
+      ("(a", "unbalanced '('");
+      ("a)", "unbalanced ')'");
+      ("(a) b", "trailing data after toplevel form");
+      ({|("a|}, "unterminated string");
+      ({|("a\|}, "dangling escape in string");
+      (") \"", "unbalanced ')'")
+    ];
+  let nested d = String.make d '(' ^ String.make d ')' in
+  check_bool "depth at the cap parses" true (Result.is_ok (Sexp.parse (nested Sexp.max_nesting)));
+  Alcotest.check result "depth past the cap" (Error "nesting too deep")
+    (show (nested (Sexp.max_nesting + 1)))
+
 let prop_tree_io_random =
   QCheck.Test.make ~count:60 ~name:"serialization round trip on random systems"
     QCheck.(int_range 0 1_000_000)
@@ -750,7 +775,8 @@ let () =
         ] );
       ( "tree_io",
         [ Alcotest.test_case "round trip" `Quick test_tree_io_roundtrip;
-          Alcotest.test_case "errors" `Quick test_tree_io_errors
+          Alcotest.test_case "errors" `Quick test_tree_io_errors;
+          Alcotest.test_case "sexp reader" `Quick test_sexp_reader
         ] );
       ( "axioms", [ Alcotest.test_case "fs" `Quick test_axioms_fs ] );
       ( "simplify", [ Alcotest.test_case "cases" `Quick test_simplify_cases ] );

@@ -323,7 +323,7 @@ let test_meta_roundtrip () =
       limits = Budget.limits ~max_points:1234 ~timeout_ms:500 ()
     }
   in
-  let cfg', engine = Replay.config_of_meta (Replay.meta_of_config cfg) in
+  let cfg' = Replay.config_of_meta (Replay.meta_of_config cfg) in
   check_int "jobs" 3 cfg'.Serve.jobs;
   check_int "max_pending" 7 cfg'.Serve.max_pending;
   check_int "batch" 2 cfg'.Serve.batch;
@@ -333,12 +333,21 @@ let test_meta_roundtrip () =
     (cfg'.Serve.limits.Budget.max_points = Some 1234
     && cfg'.Serve.limits.Budget.timeout_ms = Some 500
     && cfg'.Serve.limits.Budget.max_nodes = None);
-  check_bool "engine recorded" true (engine = Some (Semantics.current_engine ()));
+  (* Journals from recorders that still had an engine selector carry
+     an (engine ...) field; it selects nothing now and must not stop
+     the rest of the meta from being read. *)
+  let legacy =
+    "(serve-config (version 1) (engine recursive) (jobs 3) (max-pending 7) \
+     (batch 2) (max-frame 1048576) (cache-max 11) (tree-cache-max 32) \
+     (drain-ms none) (retry-after-ms 50) (max-points 1234) (max-nodes none) \
+     (max-limbs none) (max-iters none) (timeout-ms 500))"
+  in
+  check_bool "legacy meta with (engine recursive) reads to the recorded config" true
+    (Replay.config_of_meta legacy = cfg);
   (* Tolerance: garbage meta degrades to the defaults, no exception. *)
-  let dflt, engine = Replay.config_of_meta "not a serve-config" in
+  let dflt = Replay.config_of_meta "not a serve-config" in
   check_int "garbage meta falls back to default jobs"
-    Serve.default_config.Serve.jobs dflt.Serve.jobs;
-  check_bool "no engine from garbage meta" true (engine = None)
+    Serve.default_config.Serve.jobs dflt.Serve.jobs
 
 (* ------------------------------------------------------------------ *)
 (* Record -> replay round-trip                                         *)

@@ -279,7 +279,50 @@ let test_semantics_agent_guard () =
   let t = that () in
   Alcotest.check_raises "unknown agent"
     (Invalid_argument "Semantics.eval: agent 7 out of range") (fun () ->
-      ignore (Semantics.eval t ~valuation (Parser.parse "K[7] bit1")))
+      ignore (Semantics.eval t ~valuation (Parser.parse "K[7] bit1")));
+  (* The generic valuation reads the agent index as decimal digits
+     only: int_of_string_opt alone would take "0x1"/"0b1" as agent 1. *)
+  let g = Gstate.make ~env:"e" ~locals:(List.init 13 (fun i -> if i = 1 || i = 12 then "l" else "m")) in
+  let holds atom = Semantics.generic_valuation atom g in
+  check_bool "a1_l" true (holds "a1_l");
+  check_bool "a12_l on a 13-agent state" true (holds "a12_l");
+  check_bool "a0x1_l is not agent 1" false (holds "a0x1_l");
+  check_bool "a0b1_l is not agent 1" false (holds "a0b1_l");
+  check_bool "a13_l out of range" false (holds "a13_l")
+
+(* The recursive oracle and the production evaluator agree on the
+   CLI's example queries: firing squad under both formulas (pak eval),
+   and figure one read back from its document form (pak load). *)
+let test_engines_agree_on_examples () =
+  let module FS = Pak_systems.Firing_squad in
+  let fig1 =
+    match Tree_io.of_string_result (Tree_io.to_string (Pak_systems.Figure_one.tree ())) with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail "figure-one document does not read back"
+  in
+  (* Every subformula, not just the root: the firing-squad roots hold
+     nowhere, but their atoms and modal parts do somewhere. The CLI
+     shards cell sweeps at --jobs > 1, so a two-domain pool is checked
+     too. *)
+  Pak_par.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (name, t, text) ->
+          let valuation = Semantics.generic_valuation in
+          Array.iter
+            (fun (e : Closure.entry) ->
+              let f = e.Closure.formula in
+              let fr = Semantics.eval t ~valuation f in
+              let fv = Semantics.eval_vec t ~valuation f in
+              let fp = Semantics.eval_vec ~pool t ~valuation f in
+              Tree.iter_points t (fun ~run ~time ->
+                  let at = Printf.sprintf "%s, %s at (%d,%d)" name (Formula.to_string f) run time in
+                  check_bool at (Fact.holds fr ~run ~time) (Fact.holds fv ~run ~time);
+                  check_bool (at ^ ", pooled") (Fact.holds fr ~run ~time) (Fact.holds fp ~run ~time)))
+            (Closure.entries (Closure.of_formula (Parser.parse text))))
+        [ ("firing-squad", FS.tree FS.Original, "CB[0,1]>=3/4 a0_done");
+          ("firing-squad", FS.tree FS.Original, "K[0] a0_done & B[1]>=1/2 F a1_done");
+          ("figure-one", fig1, "B[0]>=1/2 F a0_g1")
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Properties on random systems                                        *)
@@ -464,7 +507,9 @@ let () =
           Alcotest.test_case "graded belief" `Quick test_semantics_belief;
           Alcotest.test_case "group operators" `Quick test_semantics_groups;
           Alcotest.test_case "probability" `Quick test_semantics_probability;
-          Alcotest.test_case "agent guard" `Quick test_semantics_agent_guard
+          Alcotest.test_case "agent guard" `Quick test_semantics_agent_guard;
+          Alcotest.test_case "engines agree on the CLI examples" `Quick
+            test_engines_agree_on_examples
         ] );
       ("closure", [ Alcotest.test_case "invariants" `Quick test_closure_invariants ]);
       ("properties", qcheck_cases)

@@ -226,7 +226,7 @@ let eval_points_spend tree formula =
     Budget.with_budget
       (Budget.limits ~max_points:max_int ())
       (fun () ->
-        ignore (Semantics.eval_auto tree ~valuation:Semantics.generic_valuation
+        ignore (Semantics.eval_vec tree ~valuation:Semantics.generic_valuation
                   (Parser.parse formula));
         List.assoc "points" (Budget.spent ()))
   with
@@ -264,7 +264,7 @@ let test_degraded_identity () =
         (Budget.limits ~max_points:spend ())
         (fun () ->
           let fact =
-            Semantics.eval_auto tree ~valuation:Semantics.generic_valuation
+            Semantics.eval_vec tree ~valuation:Semantics.generic_valuation
               (Parser.parse "a0_g1")
           in
           Belief.degree_graded ~samples ~seed fact ~agent:0 ~run:0 ~time:0)

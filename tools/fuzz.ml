@@ -381,7 +381,7 @@ let seed_cert_json =
   lazy
     (let tree = Lazy.force explain_tree in
      Cert.to_json
-       (Semantics.certify tree ~valuation:Semantics.generic_valuation
+       (Cert.certify tree ~valuation:Semantics.generic_valuation
           (Parser.parse "K[0] a0_g0 | B[0]>=1/4 F a0_g1")))
 
 (* --mode frame seeds: one valid request/ping/shutdown payload set over
