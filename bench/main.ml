@@ -576,7 +576,7 @@ let export_snapshot file =
      wrong (e.g. a counter read got reordered). *)
   let attributed =
     List.fold_left
-      (fun acc n -> acc +. n.Obs.sn_minor_aw)
+      (fun acc (n : Obs.Snapshot.node) -> acc +. n.minor_aw)
       0. (Obs.span_tree ())
   in
   let coverage = if process_minor > 0. then attributed /. process_minor else 1. in

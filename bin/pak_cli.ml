@@ -255,21 +255,9 @@ let obs_t =
                    span boundary). Timings, counters and the span-tree shape are \
                    unaffected; allocated-words columns read as zero. The gc.* gauges \
                    keep reporting.")
-  and gc_sample_t =
-    Arg.(value & opt int 32
-         & info [ "gc-sample-every" ] ~docv:"N"
-             ~doc:"Sample the gc.* gauges every $(docv)-th span exit (default 32; the \
-                   very first span exit always samples, so short runs still report). \
-                   Lower values sharpen gc.* time-series resolution at the cost of \
-                   more GC counter reads.")
   in
-  let setup metrics trace metrics_json no_alloc gc_sample =
+  let setup metrics trace metrics_json no_alloc =
     if no_alloc then Obs.set_track_allocations false;
-    (if gc_sample < 1 then begin
-       prerr_endline "pak: --gc-sample-every must be >= 1";
-       exit 2
-     end
-     else Obs.set_gauge_sample_interval gc_sample);
     (match trace with
      | None -> ()
      | Some file ->
@@ -290,7 +278,7 @@ let obs_t =
       at_exit (fun () -> Obs.print_summary stderr)
     end
   in
-  Term.(const setup $ metrics_t $ trace_t $ metrics_json_t $ no_alloc_t $ gc_sample_t)
+  Term.(const setup $ metrics_t $ trace_t $ metrics_json_t $ no_alloc_t)
 
 (* Resource-budget options, shared by every subcommand. Like [obs_t]
    the term's value is (), evaluated for its effect: installing the

@@ -598,22 +598,6 @@ let check ?valuation tree cert =
 (* JSON serialization                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let add_jstring buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_ints buf l =
   Buffer.add_char buf '[';
   List.iteri
@@ -632,15 +616,15 @@ let add_points buf pts =
     pts;
   Buffer.add_char buf ']'
 
-let add_q buf q = add_jstring buf (Q.to_string q)
+let add_q buf q = Obs.Json.add_string buf (Q.to_string q)
 
 let to_json cert =
   let buf = Buffer.create 4096 in
   let rec add_node (n : node) =
     Buffer.add_string buf "{\"formula\":";
-    add_jstring buf (Formula.to_string n.formula);
+    Obs.Json.add_string buf (Formula.to_string n.formula);
     Buffer.add_string buf ",\"kind\":";
-    add_jstring buf (Semantics.op_tag n.formula);
+    Obs.Json.add_string buf (Semantics.op_tag n.formula);
     Buffer.add_string buf ",\"points\":";
     add_points buf n.points;
     (match n.evidence with
@@ -651,7 +635,7 @@ let to_json cert =
         (fun i kc ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf (Printf.sprintf "{\"agent\":%d,\"time\":%d,\"label\":" kc.kc_agent kc.kc_time);
-          add_jstring buf kc.kc_label;
+          Obs.Json.add_string buf kc.kc_label;
           Buffer.add_string buf ",\"cell\":";
           add_ints buf kc.kc_cell;
           Buffer.add_string buf (Printf.sprintf ",\"holds\":%b}" kc.kc_holds))
@@ -663,7 +647,7 @@ let to_json cert =
         (fun i bc ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf (Printf.sprintf "{\"agent\":%d,\"time\":%d,\"label\":" bc.bc_agent bc.bc_time);
-          add_jstring buf bc.bc_label;
+          Obs.Json.add_string buf bc.bc_label;
           Buffer.add_string buf ",\"cell\":";
           add_ints buf bc.bc_cell;
           Buffer.add_string buf ",\"sat\":";

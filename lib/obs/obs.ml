@@ -3,7 +3,7 @@
    load and branch, so hot paths keep their uninstrumented cost
    profile. With a sink enabled, counter bumps and histogram records
    are single atomic adds (no lock on the hot path); registry lookups,
-   span statistics, span-tree folding and trace emission — all rare or
+   span-record updates and reads, and trace emission — all rare or
    already channel-bound — share one mutex. *)
 
 let on = ref false
@@ -35,10 +35,9 @@ let major_counters () =
   (s.Gc.major_words, s.Gc.promoted_words)
 
 (* One lock for everything that is not a counter bump: the registries,
-   span-statistic and span-tree updates, gauge-provider registration
-   and trace emission. Contention is negligible — spans wrap whole
-   engine calls, and registry lookups happen once per counter per
-   module load. *)
+   span-record updates, gauge-provider registration and trace
+   emission. Contention is negligible — spans wrap whole engine calls,
+   and registry lookups happen once per counter per module load. *)
 let lock = Mutex.create ()
 let locked f = Mutex.protect lock f
 
@@ -155,50 +154,18 @@ let percentile counts q =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Spans: flat statistics                                              *)
-(* ------------------------------------------------------------------ *)
-
-type span_stat = {
-  mutable s_count : int;
-  mutable s_total : float;
-  mutable s_minor_aw : float;  (* inclusive minor-heap allocated words *)
-  mutable s_major_aw : float;  (* inclusive direct major-heap allocated words *)
-}
-
-let span_registry : (string, span_stat) Hashtbl.t = Hashtbl.create 32
-
-(* Callers hold [lock]. *)
-let span_stat_locked name =
-  match Hashtbl.find_opt span_registry name with
-  | Some s -> s
-  | None ->
-    let s = { s_count = 0; s_total = 0.; s_minor_aw = 0.; s_major_aw = 0. } in
-    Hashtbl.add span_registry name s;
-    s
-
-let spans () =
-  locked (fun () ->
-      Hashtbl.fold (fun name s acc -> (name, s.s_count, s.s_total) :: acc) span_registry [])
-  |> List.sort compare
-
-let span_allocs () =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun name s acc -> (name, s.s_minor_aw, s.s_major_aw) :: acc)
-        span_registry [])
-  |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Spans: hierarchical statistics                                      *)
+(* Spans: one path-keyed record                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Each domain tracks its stack of open spans in domain-local storage;
-   at span exit the (path, duration) sample folds into one
-   process-global table keyed by the full path, so nested engine calls
-   render as a tree with inclusive and self time. Paths are stored
-   innermost-first (the natural push order); reporting reverses them.
-   Domains merge by path: a worker running a checker at top level
-   contributes to the same root node as the caller would. *)
+   at span exit the (path, duration, allocation) sample folds into one
+   process-global table keyed by the full path — the only span record.
+   The span tree, the per-name summary rows, the alloc report and the
+   flamegraph are all views of it. Paths are stored innermost-first
+   (the natural push order, so the head is the span's own name);
+   reporting reverses them. Domains merge by path: a worker running a
+   checker at top level contributes to the same root node as the
+   caller would. *)
 
 type tree_stat = {
   mutable t_count : int;
@@ -218,65 +185,6 @@ let tree_stat_locked path =
     let s = { t_count = 0; t_total = 0.; t_minor_aw = 0.; t_major_aw = 0. } in
     Hashtbl.add tree_registry path s;
     s
-
-type span_node = {
-  sn_name : string;
-  sn_path : string list;
-  sn_count : int;
-  sn_total : float;
-  sn_self : float;
-  sn_minor_aw : float;
-  sn_self_minor_aw : float;
-  sn_major_aw : float;
-  sn_self_major_aw : float;
-  sn_children : span_node list;
-}
-
-(* [path = prefix @ [leaf]]? Returns the leaf when so. *)
-let rec leaf_under prefix path =
-  match (prefix, path) with
-  | [], [ leaf ] -> Some leaf
-  | p :: ps, q :: qs when String.equal p q -> leaf_under ps qs
-  | _ -> None
-
-let span_tree () =
-  let entries =
-    locked (fun () ->
-        Hashtbl.fold
-          (fun path st acc ->
-            (List.rev path, (st.t_count, st.t_total, st.t_minor_aw, st.t_major_aw)) :: acc)
-          tree_registry [])
-  in
-  let rec build prefix =
-    entries
-    |> List.filter_map (fun (path, stat) ->
-           match leaf_under prefix path with
-           | Some leaf -> Some (leaf, stat)
-           | None -> None)
-    |> List.sort compare
-    |> List.map (fun (leaf, (c, t, mnr, mjr)) ->
-           let path = prefix @ [ leaf ] in
-           let children = build path in
-           let child_sum f = List.fold_left (fun acc n -> acc +. f n) 0. children in
-           let child_total = child_sum (fun n -> n.sn_total) in
-           (* Clamped: float rounding can push the children's sum a
-              hair past the parent's inclusive total, and a child span
-              can allocate on a domain whose parent frame was opened
-              with allocation tracking off. *)
-           let self incl children_sum = Float.max 0. (incl -. children_sum) in
-           { sn_name = leaf;
-             sn_path = path;
-             sn_count = c;
-             sn_total = t;
-             sn_self = self t child_total;
-             sn_minor_aw = mnr;
-             sn_self_minor_aw = self mnr (child_sum (fun n -> n.sn_minor_aw));
-             sn_major_aw = mjr;
-             sn_self_major_aw = self mjr (child_sum (fun n -> n.sn_major_aw));
-             sn_children = children
-           })
-  in
-  build []
 
 (* Baseline for the gc.* gauges: the cumulative GC counters captured
    at the last [reset] (and at module load), so snapshots report
@@ -321,13 +229,6 @@ let reset () =
       Hashtbl.iter
         (fun _ h -> Array.iter (fun cell -> Atomic.set cell 0) h.h_buckets)
         histogram_registry;
-      Hashtbl.iter
-        (fun _ s ->
-          s.s_count <- 0;
-          s.s_total <- 0.;
-          s.s_minor_aw <- 0.;
-          s.s_major_aw <- 0.)
-        span_registry;
       Hashtbl.reset tree_registry);
   rebase_gc ()
 
@@ -378,8 +279,10 @@ let tracing () = !trace_state <> None
 
 let now () = Sys.time ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
+(* The one JSON string escaper (also behind [Json.add_string]):
+   quotes, backslashes and control characters; every other byte,
+   UTF-8 included, passes through. *)
+let add_json_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -390,7 +293,11 @@ let json_escape s =
       | '\r' -> Buffer.add_string buf "\\r"
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_json_escaped buf s;
   Buffer.contents buf
 
 (* Callers hold [lock]: the channel and [first] are shared. *)
@@ -477,19 +384,13 @@ let emit_gc_samples_locked () =
         ("gc.top_heap_words", s.Gc.top_heap_words)
       ]
 
-(* One gc sample burst every N span exits per domain: frequent enough
-   to draw heap lanes over time, cheap enough not to swamp the trace
-   with counter events. The interval is configurable (--gc-sample-every
-   in the CLI); the very first span exit per domain always samples, so
-   short runs — fewer spans than one interval — still get at least one
-   mid-run heap sample before the closing burst. *)
-let gauge_sample_interval_cell = Atomic.make 32
-
-let set_gauge_sample_interval n =
-  if n < 1 then invalid_arg "Obs.set_gauge_sample_interval: interval must be >= 1";
-  Atomic.set gauge_sample_interval_cell n
-
-let gauge_sample_interval () = Atomic.get gauge_sample_interval_cell
+(* One gc sample burst every 32nd span exit per domain: frequent
+   enough to draw heap lanes over time, cheap enough not to swamp the
+   trace with counter events. The very first span exit per domain
+   always samples, so short runs — fewer spans than one interval —
+   still get at least one mid-run heap sample before the closing
+   burst. *)
+let gc_sample_every = 32
 
 let gc_tick_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
@@ -558,17 +459,12 @@ let span name f =
         if track && !trace_state <> None then begin
           let tick = Domain.DLS.get gc_tick_key in
           Stdlib.incr tick;
-          !tick = 1 || !tick mod Atomic.get gauge_sample_interval_cell = 0
+          !tick = 1 || !tick mod gc_sample_every = 0
         end
         else false
       in
       let trace_ctx = Domain.DLS.get trace_ctx_key in
       locked (fun () ->
-          let stat = span_stat_locked name in
-          stat.s_count <- stat.s_count + 1;
-          stat.s_total <- stat.s_total +. dt;
-          stat.s_minor_aw <- stat.s_minor_aw +. minor_aw;
-          stat.s_major_aw <- stat.s_major_aw +. major_aw;
           let h = histogram_locked name in
           ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of ns) 1);
           let ts = tree_stat_locked path in
@@ -587,147 +483,6 @@ let span name f =
       finish ();
       raise e
   end
-
-(* ------------------------------------------------------------------ *)
-(* Summary sink                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let pp_summary fmt () =
-  Format.fprintf fmt "== pak metrics ==@\n";
-  Format.fprintf fmt "counters:@\n";
-  (match counters () with
-   | [] -> Format.fprintf fmt "  (none registered)@\n"
-   | cs ->
-     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12d@\n" name v) cs);
-  (match gauges () with
-   | [] -> ()
-   | gs ->
-     Format.fprintf fmt "gauges:@\n";
-     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12.4f@\n" name v) gs);
-  Format.fprintf fmt "spans:@\n";
-  match spans () with
-  | [] -> Format.fprintf fmt "  (none recorded)@\n"
-  | ss ->
-    let hists = histograms () in
-    let allocs = span_allocs () in
-    Format.fprintf fmt "  %-42s %10s %12s %12s %10s %10s %10s %12s@\n" "" "calls" "total ms"
-      "mean us" "p50 us" "p90 us" "p99 us" "alloc kw";
-    List.iter
-      (fun (name, count, total) ->
-        let mean_us = if count = 0 then 0. else total /. float_of_int count *. 1e6 in
-        let p q =
-          match List.assoc_opt name hists with
-          | Some counts -> percentile counts q /. 1e3
-          | None -> 0.
-        in
-        let alloc_kw =
-          match List.find_opt (fun (n, _, _) -> String.equal n name) allocs with
-          | Some (_, mnr, mjr) -> (mnr +. mjr) /. 1e3
-          | None -> 0.
-        in
-        Format.fprintf fmt "  %-42s %10d %12.3f %12.3f %10.1f %10.1f %10.1f %12.1f@\n" name
-          count (total *. 1e3) mean_us (p 0.5) (p 0.9) (p 0.99) alloc_kw)
-      ss
-
-let print_summary ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_summary fmt ();
-  Format.pp_print_flush fmt ()
-
-let pp_span_tree fmt () =
-  Format.fprintf fmt "span tree:@\n";
-  match span_tree () with
-  | [] -> Format.fprintf fmt "  (no spans recorded)@\n"
-  | roots ->
-    Format.fprintf fmt "  %-46s %10s %12s %12s %12s %12s@\n" "" "calls" "incl ms" "self ms"
-      "incl kw" "self kw";
-    let rec pp depth node =
-      let label = String.make (2 * depth) ' ' ^ node.sn_name in
-      Format.fprintf fmt "  %-46s %10d %12.3f %12.3f %12.1f %12.1f@\n" label node.sn_count
-        (node.sn_total *. 1e3) (node.sn_self *. 1e3)
-        ((node.sn_minor_aw +. node.sn_major_aw) /. 1e3)
-        ((node.sn_self_minor_aw +. node.sn_self_major_aw) /. 1e3);
-      List.iter (pp (depth + 1)) node.sn_children
-    in
-    List.iter (pp 0) roots
-
-let print_span_tree ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_span_tree fmt ();
-  Format.pp_print_flush fmt ()
-
-(* The allocation profile: every span path ranked by self-allocated
-   words — where the words actually come from, with double counting
-   removed by the self column (a parent's self excludes children). *)
-let pp_alloc_report ?(top = 20) fmt () =
-  let rec flatten acc n = List.fold_left flatten (n :: acc) n.sn_children in
-  let nodes = List.fold_left flatten [] (span_tree ()) in
-  let self n = n.sn_self_minor_aw +. n.sn_self_major_aw in
-  let ranked =
-    List.filter (fun n -> self n > 0.) nodes
-    |> List.sort (fun a b -> compare (self b, a.sn_path) (self a, b.sn_path))
-  in
-  let attributed = List.fold_left (fun acc n -> acc +. self n) 0. ranked in
-  let process_minor =
-    match List.assoc_opt "gc.minor_words" (gc_gauges ()) with Some v -> v | None -> 0.
-  in
-  Format.fprintf fmt "top allocating spans (self words; kw = 1000 words):@\n";
-  if ranked = [] then Format.fprintf fmt "  (no span allocation recorded)@\n"
-  else begin
-    Format.fprintf fmt "  %-52s %10s %12s %12s %12s@\n" "" "calls" "self kw" "incl kw"
-      "w/call";
-    List.iteri
-      (fun i n ->
-        if i < top then
-          Format.fprintf fmt "  %-52s %10d %12.1f %12.1f %12.0f@\n"
-            (String.concat ";" n.sn_path) n.sn_count (self n /. 1e3)
-            ((n.sn_minor_aw +. n.sn_major_aw) /. 1e3)
-            (if n.sn_count = 0 then 0. else self n /. float_of_int n.sn_count))
-      ranked;
-    if List.length ranked > top then
-      Format.fprintf fmt "  ... %d more span paths@\n" (List.length ranked - top)
-  end;
-  Format.fprintf fmt "  attributed: %.1f kw across %d span paths" (attributed /. 1e3)
-    (List.length ranked);
-  if process_minor > 0. then
-    Format.fprintf fmt " (%.1f%% of %.1f kw minor words since reset)"
-      (100. *. attributed /. process_minor)
-      (process_minor /. 1e3);
-  Format.fprintf fmt "@\n"
-
-let print_alloc_report ?top ch =
-  let fmt = Format.formatter_of_out_channel ch in
-  pp_alloc_report ?top fmt ();
-  Format.pp_print_flush fmt ()
-
-(* ------------------------------------------------------------------ *)
-(* Flamegraph export (collapsed-stack format)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* One line per span path, `a;b;c <weight>`, the input format of
-   flamegraph.pl and speedscope. Weights are *self* values — the
-   flamegraph tool re-derives inclusive totals by summing subtrees, so
-   exporting inclusive numbers would double-count. Self time in whole
-   nanoseconds, or self allocated words (minor + direct major). Lines
-   are sorted by path and zero-weight rows dropped, so the output is a
-   pure function of the span registry. *)
-type flame_weight = Flame_time | Flame_alloc
-
-let flamegraph ?(weight = Flame_time) () =
-  let rec flatten acc n = List.fold_left flatten (n :: acc) n.sn_children in
-  let nodes = List.fold_left flatten [] (span_tree ()) in
-  let weight_of n =
-    match weight with
-    | Flame_time -> int_of_float (n.sn_self *. 1e9)
-    | Flame_alloc -> int_of_float (n.sn_self_minor_aw +. n.sn_self_major_aw)
-  in
-  nodes
-  |> List.filter_map (fun n ->
-         let w = weight_of n in
-         if w <= 0 then None else Some (String.concat ";" n.sn_path, w))
-  |> List.sort compare
-  |> List.map (fun (path, w) -> Printf.sprintf "%s %d\n" path w)
-  |> String.concat ""
 
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON reader: enough to validate emitted traces and to
@@ -865,6 +620,11 @@ module Json = struct
     skip_ws st;
     if st.pos <> String.length src then raise (Bad "trailing data after JSON value");
     v
+
+  let add_string buf s =
+    Buffer.add_char buf '"';
+    add_json_escaped buf s;
+    Buffer.add_char buf '"'
 end
 
 let read_file_string file =
@@ -902,33 +662,64 @@ module Snapshot = struct
     spans : node list;
   }
 
-  let rec node_of_span n =
-    { name = n.sn_name;
-      count = n.sn_count;
-      total_s = n.sn_total;
-      self_s = n.sn_self;
-      minor_aw = n.sn_minor_aw;
-      self_minor_aw = n.sn_self_minor_aw;
-      major_aw = n.sn_major_aw;
-      self_major_aw = n.sn_self_major_aw;
-      children = List.map node_of_span n.sn_children
-    }
+  (* [path = prefix @ [leaf]]? Returns the leaf when so. *)
+  let rec leaf_under prefix path =
+    match (prefix, path) with
+    | [], [ leaf ] -> Some leaf
+    | p :: ps, q :: qs when String.equal p q -> leaf_under ps qs
+    | _ -> None
 
-  let capture () =
+  let span_tree () =
+    let entries =
+      locked (fun () ->
+          Hashtbl.fold
+            (fun path st acc ->
+              (List.rev path, (st.t_count, st.t_total, st.t_minor_aw, st.t_major_aw)) :: acc)
+            tree_registry [])
+    in
+    let rec build prefix =
+      entries
+      |> List.filter_map (fun (path, stat) ->
+             match leaf_under prefix path with
+             | Some leaf -> Some (leaf, stat)
+             | None -> None)
+      |> List.sort compare
+      |> List.map (fun (leaf, (c, t, mnr, mjr)) ->
+             let children = build (prefix @ [ leaf ]) in
+             let child_sum f = List.fold_left (fun acc n -> acc +. f n) 0. children in
+             (* Clamped: float rounding can push the children's sum a
+                hair past the parent's inclusive total, and a child span
+                can allocate on a domain whose parent frame was opened
+                with allocation tracking off. *)
+             let self incl children_sum = Float.max 0. (incl -. children_sum) in
+             { name = leaf;
+               count = c;
+               total_s = t;
+               self_s = self t (child_sum (fun n -> n.total_s));
+               minor_aw = mnr;
+               self_minor_aw = self mnr (child_sum (fun n -> n.minor_aw));
+               major_aw = mjr;
+               self_major_aw = self mjr (child_sum (fun n -> n.major_aw));
+               children
+             })
+    in
+    build []
+
+  let capture ?(spans = true) () =
     { version = schema_version;
       counters = counters ();
       gauges = gauges ();
       histograms = histograms ();
-      spans = List.map node_of_span (span_tree ())
+      spans = (if spans then span_tree () else [])
     }
 
-  (* Per-call attribution without resetting the global registries:
-     capture, run, capture, subtract. Counters and histograms are
-     after-minus-before with all-zero rows dropped; gauges keep the
-     after values (levels, not flows); the span tree is left empty
-     because span paths accumulate per domain and a single call's
-     share cannot be recovered by subtraction across domains. *)
-  let diff_against ~before after =
+  (* The one counter/histogram delta, behind [diff_capture] and any
+     caller keeping its own basis: after-minus-before with all-zero
+     rows dropped; gauges keep the after values (levels, not flows);
+     the span tree is left empty because span paths accumulate per
+     domain and one interval's share cannot be recovered by
+     subtraction across domains. *)
+  let delta ~before after =
     let counters =
       List.filter_map
         (fun (name, v) ->
@@ -964,9 +755,9 @@ module Snapshot = struct
     }
 
   let diff_capture f =
-    let before = capture () in
+    let before = capture ~spans:false () in
     let x = f () in
-    (x, diff_against ~before (capture ()))
+    (x, delta ~before (capture ~spans:false ()))
 
   (* %.17g round-trips every finite double through float_of_string
      exactly, so serialize/parse is lossless. *)
@@ -1095,83 +886,170 @@ module Snapshot = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Rolling time-series: a fixed-size ring of metric deltas             *)
+(* Summary sink                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Series = struct
-  (* Each [record] captures the *delta* since the previous record (or
-     since [create] for the first): counter increments with zero rows
-     dropped, histogram sample-count increments, and gauge levels
-     (gauges are levels, not flows — a delta of a sampled level is
-     noise). The delta basis advances on every record independently of
-     ring eviction, so the recorded deltas always telescope: summing a
-     counter across *all* samples ever recorded equals its total growth
-     since [create], even after old samples fell out of the ring. *)
+(* Per-name span rows: the path-keyed record folded over each path's
+   leaf name, so a name's calls and allocated words are the sums over
+   every path that ends in it — recursive and detached spans included. *)
+let span_rows () =
+  let rows = Hashtbl.create 32 in
+  locked (fun () ->
+      Hashtbl.iter
+        (fun path st ->
+          match path with
+          | [] -> ()
+          | name :: _ ->
+            let c, t, aw =
+              Option.value (Hashtbl.find_opt rows name) ~default:(0, 0., 0.)
+            in
+            Hashtbl.replace rows name
+              (c + st.t_count, t +. st.t_total, aw +. st.t_minor_aw +. st.t_major_aw))
+        tree_registry);
+  Hashtbl.fold (fun name (c, t, aw) acc -> (name, c, t, aw) :: acc) rows []
+  |> List.sort compare
 
-  type sample = {
-    s_seq : int;
-    s_counters : (string * int) list;
-    s_gauges : (string * float) list;
-    s_hist_totals : (string * int) list;
-  }
-
-  type t = {
-    cap : int;
-    ring : sample option array;
-    mutable next_seq : int;
-    mutable base_counters : (string * int) list;
-    mutable base_hists : (string * int) list;
-    m : Mutex.t;
-  }
-
-  let hist_totals () = List.map (fun (name, counts) -> (name, total_count counts)) (histograms ())
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Obs.Series.create: capacity must be >= 1";
-    { cap = capacity;
-      ring = Array.make capacity None;
-      next_seq = 0;
-      base_counters = counters ();
-      base_hists = hist_totals ();
-      m = Mutex.create ()
-    }
-
-  let delta_int now base =
-    List.filter_map
-      (fun (name, v) ->
-        let b = match List.assoc_opt name base with Some x -> x | None -> 0 in
-        if v - b = 0 then None else Some (name, v - b))
-      now
-
-  let record t =
-    let now_counters = counters () in
-    let now_hists = hist_totals () in
-    let now_gauges = gauges () in
-    Mutex.protect t.m (fun () ->
-        let s =
-          { s_seq = t.next_seq;
-            s_counters = delta_int now_counters t.base_counters;
-            s_gauges = now_gauges;
-            s_hist_totals = delta_int now_hists t.base_hists
-          }
+(* Zero counters are omitted: a registered counter the run never
+   bumped says nothing, and the registry holds every counter of every
+   linked layer. The span rows come from the path-keyed record, which
+   holds no zero-call paths. *)
+let pp_summary fmt () =
+  Format.fprintf fmt "== pak metrics ==@\n";
+  Format.fprintf fmt "counters:@\n";
+  (match List.filter (fun (_, v) -> v <> 0) (counters ()) with
+   | [] -> Format.fprintf fmt "  (all zero)@\n"
+   | cs ->
+     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12d@\n" name v) cs);
+  (match gauges () with
+   | [] -> ()
+   | gs ->
+     Format.fprintf fmt "gauges:@\n";
+     List.iter (fun (name, v) -> Format.fprintf fmt "  %-42s %12.4f@\n" name v) gs);
+  Format.fprintf fmt "spans:@\n";
+  match span_rows () with
+  | [] -> Format.fprintf fmt "  (none recorded)@\n"
+  | rows ->
+    let hists = histograms () in
+    Format.fprintf fmt "  %-42s %10s %12s %12s %10s %10s %10s %12s@\n" "" "calls" "total ms"
+      "mean us" "p50 us" "p90 us" "p99 us" "alloc kw";
+    List.iter
+      (fun (name, count, total, aw) ->
+        let p q =
+          match List.assoc_opt name hists with
+          | Some counts -> percentile counts q /. 1e3
+          | None -> 0.
         in
-        t.ring.(t.next_seq mod t.cap) <- Some s;
-        t.next_seq <- t.next_seq + 1;
-        t.base_counters <- now_counters;
-        t.base_hists <- now_hists;
-        s)
+        Format.fprintf fmt "  %-42s %10d %12.3f %12.3f %10.1f %10.1f %10.1f %12.1f@\n" name
+          count (total *. 1e3)
+          (total /. float_of_int count *. 1e6)
+          (p 0.5) (p 0.9) (p 0.99) (aw /. 1e3))
+      rows
 
-  let capacity t = t.cap
-  let length t = Mutex.protect t.m (fun () -> Stdlib.min t.next_seq t.cap)
+let print_summary ch =
+  let fmt = Format.formatter_of_out_channel ch in
+  pp_summary fmt ();
+  Format.pp_print_flush fmt ()
 
-  let samples t =
-    Mutex.protect t.m (fun () ->
-        let n = Stdlib.min t.next_seq t.cap in
-        List.init n (fun i ->
-            match t.ring.((t.next_seq - n + i) mod t.cap) with
-            | Some s -> s
-            | None -> assert false))
-end
+let span_tree = Snapshot.span_tree
+
+(* Every node of the span tree with its full path, outermost first. *)
+let span_paths () =
+  let rec walk prefix acc (n : Snapshot.node) =
+    let path = prefix @ [ n.name ] in
+    List.fold_left (walk path) ((path, n) :: acc) n.children
+  in
+  List.fold_left (walk []) [] (span_tree ())
+
+let pp_span_tree fmt () =
+  Format.fprintf fmt "span tree:@\n";
+  match span_tree () with
+  | [] -> Format.fprintf fmt "  (no spans recorded)@\n"
+  | roots ->
+    Format.fprintf fmt "  %-46s %10s %12s %12s %12s %12s@\n" "" "calls" "incl ms" "self ms"
+      "incl kw" "self kw";
+    let rec pp depth (node : Snapshot.node) =
+      let label = String.make (2 * depth) ' ' ^ node.name in
+      Format.fprintf fmt "  %-46s %10d %12.3f %12.3f %12.1f %12.1f@\n" label node.count
+        (node.total_s *. 1e3) (node.self_s *. 1e3)
+        ((node.minor_aw +. node.major_aw) /. 1e3)
+        ((node.self_minor_aw +. node.self_major_aw) /. 1e3);
+      List.iter (pp (depth + 1)) node.children
+    in
+    List.iter (pp 0) roots
+
+let print_span_tree ch =
+  let fmt = Format.formatter_of_out_channel ch in
+  pp_span_tree fmt ();
+  Format.pp_print_flush fmt ()
+
+(* The allocation profile: every span path ranked by self-allocated
+   words — where the words actually come from, with double counting
+   removed by the self column (a parent's self excludes children). *)
+let pp_alloc_report ?(top = 20) fmt () =
+  let self (_, (n : Snapshot.node)) = n.self_minor_aw +. n.self_major_aw in
+  let ranked =
+    List.filter (fun pn -> self pn > 0.) (span_paths ())
+    |> List.sort (fun a b -> compare (self b, fst a) (self a, fst b))
+  in
+  let attributed = List.fold_left (fun acc n -> acc +. self n) 0. ranked in
+  let process_minor =
+    match List.assoc_opt "gc.minor_words" (gc_gauges ()) with Some v -> v | None -> 0.
+  in
+  Format.fprintf fmt "top allocating spans (self words; kw = 1000 words):@\n";
+  if ranked = [] then Format.fprintf fmt "  (no span allocation recorded)@\n"
+  else begin
+    Format.fprintf fmt "  %-52s %10s %12s %12s %12s@\n" "" "calls" "self kw" "incl kw"
+      "w/call";
+    List.iteri
+      (fun i ((path, (n : Snapshot.node)) as pn) ->
+        if i < top then
+          Format.fprintf fmt "  %-52s %10d %12.1f %12.1f %12.0f@\n"
+            (String.concat ";" path) n.count (self pn /. 1e3)
+            ((n.minor_aw +. n.major_aw) /. 1e3)
+            (if n.count = 0 then 0. else self pn /. float_of_int n.count))
+      ranked;
+    if List.length ranked > top then
+      Format.fprintf fmt "  ... %d more span paths@\n" (List.length ranked - top)
+  end;
+  Format.fprintf fmt "  attributed: %.1f kw across %d span paths" (attributed /. 1e3)
+    (List.length ranked);
+  if process_minor > 0. then
+    Format.fprintf fmt " (%.1f%% of %.1f kw minor words since reset)"
+      (100. *. attributed /. process_minor)
+      (process_minor /. 1e3);
+  Format.fprintf fmt "@\n"
+
+let print_alloc_report ?top ch =
+  let fmt = Format.formatter_of_out_channel ch in
+  pp_alloc_report ?top fmt ();
+  Format.pp_print_flush fmt ()
+
+(* ------------------------------------------------------------------ *)
+(* Flamegraph export (collapsed-stack format)                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per span path, `a;b;c <weight>`, the input format of
+   flamegraph.pl and speedscope. Weights are *self* values — the
+   flamegraph tool re-derives inclusive totals by summing subtrees, so
+   exporting inclusive numbers would double-count. Self time in whole
+   nanoseconds, or self allocated words (minor + direct major). Lines
+   are sorted by path and zero-weight rows dropped, so the output is a
+   pure function of the span registry. *)
+type flame_weight = Flame_time | Flame_alloc
+
+let flamegraph ?(weight = Flame_time) () =
+  let weight_of (n : Snapshot.node) =
+    match weight with
+    | Flame_time -> int_of_float (n.self_s *. 1e9)
+    | Flame_alloc -> int_of_float (n.self_minor_aw +. n.self_major_aw)
+  in
+  span_paths ()
+  |> List.filter_map (fun (path, n) ->
+         let w = weight_of n in
+         if w <= 0 then None else Some (String.concat ";" path, w))
+  |> List.sort compare
+  |> List.map (fun (path, w) -> Printf.sprintf "%s %d\n" path w)
+  |> String.concat ""
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics / Prometheus text exposition                            *)

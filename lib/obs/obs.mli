@@ -1,6 +1,6 @@
 (** pak_obs — zero-dependency observability: counters, histograms, span
-    timers (flat and hierarchical) and structured trace events with
-    pluggable sinks.
+    timers (one path-keyed record, read as a tree or per name) and
+    structured trace events with pluggable sinks.
 
     The library is deliberately tiny and dependency-free so that every
     layer of pak can be instrumented without widening the build. Three
@@ -55,8 +55,8 @@ val set_track_allocations : bool -> unit
 val track_allocations : unit -> bool
 
 val reset : unit -> unit
-(** Zero every counter, histogram bucket and span statistic (flat and
-    hierarchical, including allocated words), and re-base the built-in
+(** Zero every counter and histogram bucket, clear the span record
+    (calls, times and allocated words per path), and re-base the built-in
     [gc.*] gauges so cumulative GC counters read as deltas since this
     call. Does not touch sinks or gauge providers. *)
 
@@ -138,9 +138,9 @@ val percentile : int array -> float -> float
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()]. When {!on}, its inclusive wall time is
-    accumulated under [name] (flat statistics, a duration histogram in
-    nanoseconds, and a node in the hierarchical span tree keyed by the
-    enclosing open spans of the current domain) and, if a trace sink is
+    accumulated in the span record under its full path (the enclosing
+    open spans of the current domain, then [name]) and in a duration
+    histogram named [name], in nanoseconds; if a trace sink is
     active, a complete ("ph":"X") trace event carrying the full span
     path is emitted. Exceptions still close the span. When off,
     [span name f] is exactly [f ()].
@@ -184,71 +184,6 @@ val with_trace_context : string -> (unit -> 'a) -> 'a
 val trace_context : unit -> string option
 (** The currently installed trace context of the calling domain. *)
 
-val spans : unit -> (string * int * float) list
-(** [(name, calls, total_seconds)] per span name, sorted by name. *)
-
-val span_allocs : unit -> (string * float * float) list
-(** [(name, minor_words, major_words)] allocated inside each span
-    (flat, inclusive of nested spans), sorted by name. *)
-
-(** {2 Hierarchical span tree}
-
-    Each domain tracks its stack of open spans in domain-local
-    storage; samples fold into one process-global table keyed by the
-    full path. Equal paths from different domains merge, so a parallel
-    sweep's workers contribute to the same tree nodes the serial run
-    produces — call counts per path are jobs-invariant. *)
-
-type span_node = {
-  sn_name : string;  (** leaf name *)
-  sn_path : string list;  (** full path, outermost first *)
-  sn_count : int;  (** completed calls at this path *)
-  sn_total : float;  (** inclusive seconds *)
-  sn_self : float;  (** inclusive minus children's inclusive, clamped at 0 *)
-  sn_minor_aw : float;  (** inclusive minor allocated words *)
-  sn_self_minor_aw : float;  (** minor words minus children's, clamped at 0 *)
-  sn_major_aw : float;  (** inclusive words allocated directly on the major heap *)
-  sn_self_major_aw : float;  (** direct-major words minus children's, clamped at 0 *)
-  sn_children : span_node list;  (** sorted by name *)
-}
-
-val span_tree : unit -> span_node list
-(** Current hierarchical statistics as a forest of root spans, sorted
-    by name at every level. *)
-
-val pp_span_tree : Format.formatter -> unit -> unit
-(** Indented tree of calls / inclusive ms / self ms / inclusive kw /
-    self kw per span path (kw = thousands of allocated words). *)
-
-val print_span_tree : out_channel -> unit
-
-val pp_alloc_report : ?top:int -> Format.formatter -> unit -> unit
-(** Span paths ranked by self-allocated words (minor + direct major),
-    top [top] (default 20) shown with calls, self/inclusive kw and
-    words per call, followed by the total attributed words and — when
-    the [gc.minor_words] gauge is nonzero — the fraction of the
-    process's minor words since {!reset} that the span tree accounts
-    for. Backs [pak profile --alloc]. *)
-
-val print_alloc_report : ?top:int -> out_channel -> unit
-
-(** {2 Flamegraph export} *)
-
-type flame_weight =
-  | Flame_time  (** self nanoseconds per span path *)
-  | Flame_alloc  (** self allocated words (minor + direct major) per span path *)
-
-val flamegraph : ?weight:flame_weight -> unit -> string
-(** The current span tree in collapsed-stack format — one
-    [a;b;c <weight>] line per span path, the input format of
-    [flamegraph.pl] and speedscope. Weights are {e self} values
-    (inclusive totals would double-count once the tool sums subtrees):
-    self time in whole nanoseconds ({!Flame_time}, the default) or
-    self allocated words ({!Flame_alloc}). Zero-weight paths are
-    dropped and lines sorted by path, so the output is a deterministic
-    function of the recorded statistics. Backs [pak profile --flame].
-    Empty string when no spans were recorded. *)
-
 (** {1 Gauges}
 
     Gauges are sampled, not accumulated: other layers register
@@ -280,21 +215,11 @@ val trace_to : string -> unit
     the file cannot be opened; calling while a trace is already open
     closes the previous one first.
 
-    While a trace is open (and {!track_allocations} is on), every
-    {!gauge_sample_interval}-th span exit per domain — plus the very
-    first, so short runs get at least one mid-run sample — also emits
-    one "ph":"C" sample per [gc.*] lane: raw cumulative values, so the
-    heap lanes render as non-decreasing counter tracks in Perfetto. *)
-
-val set_gauge_sample_interval : int -> unit
-(** Set how many span exits (per domain) separate consecutive [gc.*]
-    heap-lane sample bursts while a trace is recording. Default [32];
-    [1] samples at every span exit. The first span exit per domain
-    always samples regardless of the interval.
-    @raise Invalid_argument on an interval below 1. *)
-
-val gauge_sample_interval : unit -> int
-(** The current [gc.*] trace-sampling interval. *)
+    While a trace is open (and {!track_allocations} is on), every 32nd
+    span exit per domain — plus the very first, so short runs get at
+    least one mid-run sample — also emits one "ph":"C" sample per
+    [gc.*] lane: raw cumulative values, so the heap lanes render as
+    non-decreasing counter tracks in Perfetto. *)
 
 val trace_stop : unit -> unit
 (** Emit one final "ph":"C" counter sample per registered counter and
@@ -306,17 +231,19 @@ val tracing : unit -> bool
 (** {1 Reporting} *)
 
 val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable tables: counters, polled gauges, and span
-    statistics with p50/p90/p99 from the duration histograms. *)
+(** Human-readable tables: the nonzero counters, polled gauges, and one
+    row per span name — the span record summed over every path ending
+    in that name — with p50/p90/p99 from the duration histograms. *)
 
 val print_summary : out_channel -> unit
 
-(** {1 Minimal JSON reader}
+(** {1 Minimal JSON reader and string writer}
 
     The zero-dependency JSON parser used internally to validate traces
     and parse {!Snapshot} values back, exposed so other layers (the
-    certificate decoder in [Pak_cert], tools) can read the JSON this
-    library and its clients emit without adding a dependency. *)
+    certificate codec in [Pak_cert], tools) can read and write the
+    JSON this library and its clients emit without adding a
+    dependency. *)
 
 module Json : sig
   type t =
@@ -333,6 +260,11 @@ module Json : sig
 
   val parse : string -> t
   (** Parse one JSON document. @raise Bad on malformed input. *)
+
+  val add_string : Buffer.t -> string -> unit
+  (** Append a JSON string literal: [s] in double quotes, with quotes,
+      backslashes and control characters escaped. The one string
+      writer behind every JSON this library emits. *)
 end
 
 (** {1 Versioned metrics snapshots} *)
@@ -344,16 +276,18 @@ module Snapshot : sig
       nodes. v1 files still decode — the alloc fields read as [0.]. *)
 
   type node = {
-    name : string;
-    count : int;
-    total_s : float;
-    self_s : float;
-    minor_aw : float;
-    self_minor_aw : float;
-    major_aw : float;
-    self_major_aw : float;
-    children : node list;
+    name : string;  (** leaf name *)
+    count : int;  (** completed calls at this path *)
+    total_s : float;  (** inclusive seconds *)
+    self_s : float;  (** inclusive minus children's inclusive, clamped at 0 *)
+    minor_aw : float;  (** inclusive minor allocated words *)
+    self_minor_aw : float;  (** minor words minus children's, clamped at 0 *)
+    major_aw : float;  (** inclusive words allocated directly on the major heap *)
+    self_major_aw : float;  (** direct-major words minus children's, clamped at 0 *)
+    children : node list;  (** sorted by name *)
   }
+  (** The span record at one path: a node of {!span_tree}, of the
+      reports built from it and of the serialized snapshot. *)
 
   type t = {
     version : int;
@@ -363,9 +297,19 @@ module Snapshot : sig
     spans : node list;
   }
 
-  val capture : unit -> t
+  val capture : ?spans:bool -> unit -> t
   (** Freeze the current counters, polled gauges, histograms and span
-      tree into one value stamped with {!schema_version}. *)
+      tree into one value stamped with {!schema_version}. With
+      [~spans:false] the span tree is skipped and [spans] is [[]] —
+      for callers that only read counters, gauges or histograms. *)
+
+  val delta : before:t -> t -> t
+  (** [delta ~before after]: counters and histograms are
+      [after − before] with all-zero rows dropped (a row missing from
+      [before] counts from zero); gauges are [after]'s (levels, not
+      flows); [spans] is [[]]. The one delta routine — {!diff_capture}
+      and any caller that keeps its own basis between captures (serve
+      telemetry frames) share it. *)
 
   val to_json : t -> string
   (** Serialize as JSON. Floats print as [%.17g], so
@@ -382,61 +326,60 @@ module Snapshot : sig
   (** [diff_capture f] captures a snapshot, runs [f], captures again
       and returns [f ()] together with the per-call delta — without
       resetting any global registry. Counters and histograms are
-      after−before (all-zero rows dropped); gauges keep the after
-      values (they are levels, not flows); [spans] is empty, because
+      {!delta}s of two span-less captures: after−before with all-zero
+      rows dropped; gauges keep the after values (they are levels, not
+      flows); [spans] is empty, because
       span paths accumulate per domain and a single call's share
       cannot be attributed by subtraction. Bumps made by {e other}
       domains while [f] runs land in the delta; single-domain callers
       get an exact attribution. *)
 end
 
-(** {1 Rolling time-series}
+(** {1 Span tree}
 
-    A fixed-capacity ring of metric {e deltas}: each {!Series.record}
-    samples the registries and stores what changed since the previous
-    record, so a long-lived process (a [pak serve] session under
-    [--telemetry-every]) exposes rates-over-time, not just
-    totals-at-exit. *)
+    Each domain tracks its stack of open spans in domain-local
+    storage; samples fold into one process-global table keyed by the
+    full path — the only span record. Equal paths from different
+    domains merge, so a parallel sweep's workers contribute to the
+    same tree nodes the serial run produces — call counts per path are
+    jobs-invariant. *)
 
-module Series : sig
-  type t
+val span_tree : unit -> Snapshot.node list
+(** Current hierarchical statistics as a forest of root spans, sorted
+    by name at every level. *)
 
-  type sample = {
-    s_seq : int;  (** 0-based record index, monotone across evictions *)
-    s_counters : (string * int) list;
-        (** counter increments since the previous record, zero rows
-            dropped, sorted by name *)
-    s_gauges : (string * float) list;
-        (** gauge {e levels} at record time (gauges are sampled, not
-            accumulated — a delta of a level is noise) *)
-    s_hist_totals : (string * int) list;
-        (** histogram sample-count increments since the previous
-            record, zero rows dropped *)
-  }
+val pp_span_tree : Format.formatter -> unit -> unit
+(** Indented tree of calls / inclusive ms / self ms / inclusive kw /
+    self kw per span path (kw = thousands of allocated words). *)
 
-  val create : capacity:int -> t
-  (** A new recorder holding at most [capacity] samples, with its
-      delta basis set to the registries' current values.
-      @raise Invalid_argument when [capacity < 1]. *)
+val print_span_tree : out_channel -> unit
 
-  val record : t -> sample
-  (** Sample the registries, store and return the delta since the
-      previous record (or since {!create} for the first). The basis
-      advances on {e every} record, independent of ring eviction, so
-      summing a counter across all samples ever recorded telescopes to
-      its total growth since {!create} — even after old samples fell
-      out of the ring. Thread-safe. *)
+val pp_alloc_report : ?top:int -> Format.formatter -> unit -> unit
+(** Span paths ranked by self-allocated words (minor + direct major),
+    top [top] (default 20) shown with calls, self/inclusive kw and
+    words per call, followed by the total attributed words and — when
+    the [gc.minor_words] gauge is nonzero — the fraction of the
+    process's minor words since {!reset} that the span tree accounts
+    for. Backs [pak profile --alloc]. *)
 
-  val capacity : t -> int
+val print_alloc_report : ?top:int -> out_channel -> unit
 
-  val length : t -> int
-  (** Samples currently held: [min (records so far) capacity]. *)
+(** {1 Flamegraph export} *)
 
-  val samples : t -> sample list
-  (** Held samples, oldest first. When more than [capacity] records
-      were made, these are the latest [capacity] of them — consecutive
-      [s_seq] values ending at the newest record. *)
-end
+type flame_weight =
+  | Flame_time  (** self nanoseconds per span path *)
+  | Flame_alloc  (** self allocated words (minor + direct major) per span path *)
+
+val flamegraph : ?weight:flame_weight -> unit -> string
+(** The current span tree in collapsed-stack format — one
+    [a;b;c <weight>] line per span path, the input format of
+    [flamegraph.pl] and speedscope. Weights are {e self} values
+    (inclusive totals would double-count once the tool sums subtrees):
+    self time in whole nanoseconds ({!Flame_time}, the default) or
+    self allocated words ({!Flame_alloc}). Zero-weight paths are
+    dropped and lines sorted by path, so the output is a deterministic
+    function of the recorded statistics. Backs [pak profile --flame].
+    Empty string when no spans were recorded. *)
 
 (** {1 OpenMetrics exposition} *)
 

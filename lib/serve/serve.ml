@@ -836,7 +836,8 @@ let rec perform st req =
          request served. *)
       ok_outcome ~disp:"metrics" req.req_id
         (Printf.sprintf "(code 0) (status ok) (result (openmetrics %s))"
-           (quoted (Obs.Openmetrics.render (Obs.Snapshot.capture ()))))
+           (quoted
+              (Obs.Openmetrics.render (Obs.Snapshot.capture ~spans:false ()))))
         ~cacheable:false
   | Op_status ->
       (* Answered at enqueue time on the main domain (status_outcome);
@@ -997,16 +998,15 @@ let status_outcome st req =
       Printf.bprintf b " (journal (position %d) (rotations %d))"
         (s.Journal.position ()) (s.Journal.rotations ()));
   Buffer.add_string b ")";
-  let snap = Obs.Snapshot.capture () in
   Buffer.add_string b " (metrics (latencies";
   List.iter
     (fun (n, counts) ->
       if String.length n >= 6 && String.sub n 0 6 = "serve." then
         Printf.bprintf b
           " (%s (count %d) (p50-ns %.0f) (p90-ns %.0f) (p99-ns %.0f))" n
-          (Obs.total_count counts) (Obs.percentile counts 50.)
-          (Obs.percentile counts 90.) (Obs.percentile counts 99.))
-    snap.Obs.Snapshot.histograms;
+          (Obs.total_count counts) (Obs.percentile counts 0.5)
+          (Obs.percentile counts 0.9) (Obs.percentile counts 0.99))
+    (Obs.histograms ());
   Buffer.add_string b "))";
   {
     (ok_outcome ~disp:"status" req.req_id (Buffer.contents b) ~cacheable:false) with
@@ -1181,25 +1181,31 @@ let run cfg ~source ~write =
          drain (so the delta covers whole requests, independent of the
          jobs-dependent batching cadence) and emit one line-delimited
          JSON frame of counter / histogram-total deltas since the last
-         frame. The drain-cadence metrics themselves (counter
-         serve.drains, histogram serve.drain) are excluded: they track
+         frame (Obs.Snapshot.delta against a basis kept here). The
+         drain-cadence metrics themselves (counter serve.drains,
+         histogram serve.drain) are excluded: they track
          scheduling, not work, and differ across --jobs. Everything
          kept is a pure function of the input stream, so frames are
          byte-identical at every job count. *)
       let telemetry_on = cfg.telemetry_every > 0 in
-      let series =
-        if telemetry_on then Some (Obs.Series.create ~capacity:64) else None
+      let tele_basis =
+        if telemetry_on then Some (ref (Obs.Snapshot.capture ~spans:false ()))
+        else None
       in
+      let tele_seq = ref 0 in
       let tele_reqs = ref 0 in
       let tele_mark = ref 0 in
       let emit_telemetry () =
-        match (series, cfg.telemetry) with
-        | Some series, Some sink ->
+        match (tele_basis, cfg.telemetry) with
+        | Some basis, Some sink ->
             drain st ~final:false;
-            let s = Obs.Series.record series in
+            let now = Obs.Snapshot.capture ~spans:false () in
+            let d = Obs.Snapshot.delta ~before:!basis now in
+            basis := now;
             let b = Buffer.create 256 in
             Printf.bprintf b "{\"telemetry\":1,\"seq\":%d,\"requests\":%d"
-              s.Obs.Series.s_seq !tele_reqs;
+              !tele_seq !tele_reqs;
+            incr tele_seq;
             let obj label skip rows render =
               Printf.bprintf b ",\"%s\":{" label;
               let first = ref true in
@@ -1213,10 +1219,10 @@ let run cfg ~source ~write =
                 rows;
               Buffer.add_char b '}'
             in
-            obj "counters" "serve.drains" s.Obs.Series.s_counters
+            obj "counters" "serve.drains" d.Obs.Snapshot.counters
               string_of_int;
-            obj "histogram_totals" "serve.drain" s.Obs.Series.s_hist_totals
-              string_of_int;
+            obj "histogram_totals" "serve.drain" d.Obs.Snapshot.histograms
+              (fun counts -> string_of_int (Obs.total_count counts));
             Buffer.add_char b '}';
             sink (Buffer.contents b)
         | _ -> ()

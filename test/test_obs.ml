@@ -66,11 +66,38 @@ let test_span_stats () =
       let v = Obs.span "test.span" (fun () -> 41 + 1) in
       check_int "span returns value" 42 v;
       (try Obs.span "test.span" (fun () -> failwith "boom") with Failure _ -> ());
-      match List.filter (fun (n, _, _) -> n = "test.span") (Obs.spans ()) with
-      | [ (_, count, total) ] ->
-        check_int "both calls recorded (incl. raising one)" 2 count;
-        check_bool "total time non-negative" true (total >= 0.)
+      match
+        List.filter
+          (fun (n : Obs.Snapshot.node) -> n.name = "test.span")
+          (Obs.span_tree ())
+      with
+      | [ n ] ->
+        check_int "both calls recorded (incl. raising one)" 2 n.count;
+        check_bool "total time non-negative" true (n.total_s >= 0.)
       | _ -> Alcotest.fail "span stat missing")
+
+(* The summary's per-name rows fold the path-keyed record over each
+   path's leaf name: [a] under [a] and [a] under [b] are three calls of
+   [a]. Zero counters stay out of the table. *)
+let test_summary_fold () =
+  with_metrics (fun () ->
+      ignore (Obs.counter "fold.zero");
+      Obs.incr (Obs.counter "fold.bumped");
+      Obs.span "fold.a" (fun () -> Obs.span "fold.a" (fun () -> ()));
+      Obs.span "fold.b" (fun () -> Obs.span "fold.a" (fun () -> ()));
+      let text = Format.asprintf "%a" Obs.pp_summary () in
+      let row name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+            | n :: v :: _ when n = name -> Some v
+            | _ -> None)
+          (String.split_on_char '\n' text)
+      in
+      check_bool "a: 3 calls over its three paths" true (row "fold.a" = Some "3");
+      check_bool "b: 1 call" true (row "fold.b" = Some "1");
+      check_bool "nonzero counter listed" true (row "fold.bumped" = Some "1");
+      check_bool "zero counter omitted" true (row "fold.zero" = None))
 
 (* ------------------------------------------------------------------ *)
 (* Memo-table counters on a formula with shared structure              *)
@@ -261,26 +288,24 @@ let test_span_tree () =
       (try Obs.span "outer" (fun () -> Obs.span "inner" (fun () -> failwith "boom"))
        with Failure _ -> ());
       match Obs.span_tree () with
-      | [ root ] ->
-        check_bool "root is outer" true (root.Obs.sn_name = "outer");
-        check_int "outer called 4 times (incl. the raising one)" 4 root.Obs.sn_count;
-        (match root.Obs.sn_children with
+      | [ (root : Obs.Snapshot.node) ] ->
+        check_bool "root is outer" true (root.name = "outer");
+        check_int "outer called 4 times (incl. the raising one)" 4 root.count;
+        (match root.children with
          | [ child ] ->
-           check_bool "child is inner" true (child.Obs.sn_name = "inner");
-           check_int "inner called 7 times under outer" 7 child.Obs.sn_count;
-           check_bool "paths are outermost-first" true
-             (child.Obs.sn_path = [ "outer"; "inner" ]);
+           check_bool "child is inner" true (child.name = "inner");
+           check_int "inner called 7 times under outer" 7 child.count;
            check_bool "child inclusive <= parent inclusive" true
-             (child.Obs.sn_total <= root.Obs.sn_total +. 1e-9)
+             (child.total_s <= root.total_s +. 1e-9)
          | cs -> Alcotest.fail (Printf.sprintf "expected 1 child, got %d" (List.length cs)));
-        check_bool "self <= inclusive" true (root.Obs.sn_self <= root.Obs.sn_total +. 1e-9);
-        check_bool "self >= 0" true (root.Obs.sn_self >= 0.)
+        check_bool "self <= inclusive" true (root.self_s <= root.total_s +. 1e-9);
+        check_bool "self >= 0" true (root.self_s >= 0.)
       | roots -> Alcotest.fail (Printf.sprintf "expected 1 root, got %d" (List.length roots)))
 
-let rec check_self_invariant (n : Obs.span_node) =
-  n.Obs.sn_self >= 0.
-  && n.Obs.sn_self <= n.Obs.sn_total +. 1e-9
-  && List.for_all check_self_invariant n.Obs.sn_children
+let rec check_self_invariant (n : Obs.Snapshot.node) =
+  n.self_s >= 0.
+  && n.self_s <= n.total_s +. 1e-9
+  && List.for_all check_self_invariant n.children
 
 let test_span_tree_engine () =
   let tree = toy () in
@@ -304,38 +329,36 @@ let alloc_work () =
   done;
   !acc
 
+let root_named name =
+  List.find_opt (fun (n : Obs.Snapshot.node) -> n.name = name) (Obs.span_tree ())
+
 let test_span_alloc () =
   with_metrics (fun () ->
       ignore (Obs.span "test.alloc" alloc_work);
-      (match
-         List.find_opt (fun (n, _, _) -> n = "test.alloc") (Obs.span_allocs ())
-       with
-       | None -> Alcotest.fail "allocating span missing from span_allocs"
-       | Some (_, minor, major) ->
-         check_bool "allocating span records > 100k minor words" true (minor > 100_000.);
-         check_bool "major words non-negative" true (major >= 0.));
+      (match root_named "test.alloc" with
+       | None -> Alcotest.fail "allocating span missing from span_tree"
+       | Some n ->
+         check_bool "allocating span records > 100k minor words" true (n.minor_aw > 100_000.);
+         check_bool "major words non-negative" true (n.major_aw >= 0.));
       (* The kill switch zeroes attribution without touching stats. *)
       Obs.set_track_allocations false;
       Fun.protect
         ~finally:(fun () -> Obs.set_track_allocations true)
         (fun () ->
           ignore (Obs.span "test.alloc_off" alloc_work);
-          match
-            List.find_opt (fun (n, _, _) -> n = "test.alloc_off") (Obs.span_allocs ())
-          with
-          | None -> Alcotest.fail "kill-switch span missing from span_allocs"
-          | Some (_, minor, major) ->
-            check_bool "kill switch: zero minor words" true (minor = 0.);
-            check_bool "kill switch: zero major words" true (major = 0.);
-            check_bool "kill switch: calls still counted" true
-              (List.exists (fun (n, c, _) -> n = "test.alloc_off" && c = 1) (Obs.spans ()))))
+          match root_named "test.alloc_off" with
+          | None -> Alcotest.fail "kill-switch span missing from span_tree"
+          | Some n ->
+            check_bool "kill switch: zero minor words" true (n.minor_aw = 0.);
+            check_bool "kill switch: zero major words" true (n.major_aw = 0.);
+            check_int "kill switch: calls still counted" 1 n.count))
 
-let rec check_alloc_invariant (n : Obs.span_node) =
-  n.Obs.sn_self_minor_aw >= 0.
-  && n.Obs.sn_self_minor_aw <= n.Obs.sn_minor_aw +. 1e-9
-  && n.Obs.sn_self_major_aw >= 0.
-  && n.Obs.sn_self_major_aw <= n.Obs.sn_major_aw +. 1e-9
-  && List.for_all check_alloc_invariant n.Obs.sn_children
+let rec check_alloc_invariant (n : Obs.Snapshot.node) =
+  n.self_minor_aw >= 0.
+  && n.self_minor_aw <= n.minor_aw +. 1e-9
+  && n.self_major_aw >= 0.
+  && n.self_major_aw <= n.major_aw +. 1e-9
+  && List.for_all check_alloc_invariant n.children
 
 (* The acceptance bar for span attribution: self words summed over the
    tree (= the roots' inclusive words, telescoping) account for the
@@ -350,13 +373,15 @@ let test_alloc_coverage () =
              alloc_work ()));
       let delta = Gc.minor_words () -. mw0 in
       let forest = Obs.span_tree () in
-      let attributed = List.fold_left (fun acc n -> acc +. n.Obs.sn_minor_aw) 0. forest in
+      let attributed =
+        List.fold_left (fun acc (n : Obs.Snapshot.node) -> acc +. n.minor_aw) 0. forest
+      in
       check_bool "alloc self/inclusive invariant holds on every node" true
         (List.for_all check_alloc_invariant forest);
       check_bool "inner span saw its own allocation" true
         (List.exists
-           (fun n ->
-             List.exists (fun c -> c.Obs.sn_minor_aw > 100_000.) n.Obs.sn_children)
+           (fun (n : Obs.Snapshot.node) ->
+             List.exists (fun (c : Obs.Snapshot.node) -> c.minor_aw > 100_000.) n.children)
            forest);
       check_bool
         (Printf.sprintf "spans attribute >= 90%% of process minor words (%.0f of %.0f)"
@@ -704,59 +729,44 @@ let test_diff_capture_no_span_leakage () =
            (fun (n : Obs.Snapshot.node) -> n.Obs.Snapshot.name = "diffcap.outer")
            full.Obs.Snapshot.spans))
 
-(* ------------------------------------------------------------------ *)
-(* Rolling time-series (Series)                                        *)
+(* Snapshot.delta against a kept basis                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_series_deltas_telescope () =
+let test_deltas_telescope () =
   with_metrics (fun () ->
-      let c = Obs.counter "series.c" in
-      let h = Obs.histogram "series.h" in
-      let s = Obs.Series.create ~capacity:8 in
-      check_int "capacity" 8 (Obs.Series.capacity s);
-      check_int "empty" 0 (Obs.Series.length s);
-      Obs.add c 3;
-      Obs.record h 10;
-      let a = Obs.Series.record s in
-      Obs.add c 4;
-      let b = Obs.Series.record s in
-      let del sample = List.assoc_opt "series.c" sample.Obs.Series.s_counters in
-      check_bool "first delta counts from create" true (del a = Some 3);
-      check_bool "second delta counts from the first record" true (del b = Some 4);
-      check_int "seqs are 0-based and consecutive" 1
-        (b.Obs.Series.s_seq - a.Obs.Series.s_seq);
+      let c = Obs.counter "delta.c" in
+      let h = Obs.histogram "delta.h" in
+      let (), a =
+        Obs.Snapshot.diff_capture (fun () ->
+            Obs.add c 3;
+            Obs.record h 10)
+      in
+      let (), b = Obs.Snapshot.diff_capture (fun () -> Obs.add c 4) in
+      let del (d : Obs.Snapshot.t) = List.assoc_opt "delta.c" d.counters in
+      let hist_total (d : Obs.Snapshot.t) =
+        Option.map Obs.total_count (List.assoc_opt "delta.h" d.histograms)
+      in
+      check_bool "first delta counts its own bumps" true (del a = Some 3);
+      check_bool "second delta counts only its own" true (del b = Some 4);
       check_bool "histogram totals are deltas too" true
-        (List.assoc_opt "series.h" a.Obs.Series.s_hist_totals = Some 1
-        && List.assoc_opt "series.h" b.Obs.Series.s_hist_totals = None);
+        (hist_total a = Some 1 && hist_total b = None);
       (* An idle interval records no counter rows: zero deltas drop. *)
-      let idle = Obs.Series.record s in
-      check_bool "zero rows dropped" true
-        (List.assoc_opt "series.c" idle.Obs.Series.s_counters = None);
-      check_int "three samples held" 3 (Obs.Series.length s))
-
-let test_series_ring_eviction () =
-  with_metrics (fun () ->
-      let c = Obs.counter "series.ring" in
-      let s = Obs.Series.create ~capacity:3 in
-      for i = 1 to 7 do
-        Obs.add c i;
-        ignore (Obs.Series.record s)
-      done;
-      check_int "length is capped" 3 (Obs.Series.length s);
-      let held = Obs.Series.samples s in
-      check_bool "latest window, oldest first" true
-        (List.map (fun x -> x.Obs.Series.s_seq) held = [ 4; 5; 6 ]);
-      (* The basis advanced on every record, evicted or not: the held
-         deltas are the original per-record increments. *)
-      check_bool "deltas unaffected by eviction" true
-        (List.map (fun x -> List.assoc "series.ring" x.Obs.Series.s_counters) held
-        = [ 5; 6; 7 ]))
-
-let test_series_capacity_validation () =
-  check_bool "capacity 0 rejected" true
-    (match Obs.Series.create ~capacity:0 with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+      let (), idle = Obs.Snapshot.diff_capture (fun () -> ()) in
+      check_bool "zero rows dropped" true (del idle = None);
+      (* A caller advancing its own basis on every capture gets deltas
+         that sum to the total growth since the first basis. *)
+      let capture () = Obs.Snapshot.capture ~spans:false () in
+      let s0 = capture () in
+      Obs.add c 5;
+      let s1 = capture () in
+      Obs.add c 6;
+      Obs.record h 1;
+      let s2 = capture () in
+      let d01 = Obs.Snapshot.delta ~before:s0 s1 and d12 = Obs.Snapshot.delta ~before:s1 s2 in
+      check_bool "deltas telescope" true
+        (del d01 = Some 5 && del d12 = Some 6
+        && del (Obs.Snapshot.delta ~before:s0 s2) = Some 11);
+      check_bool "span-less captures carry no span rows" true (s2.spans = []))
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                              *)
@@ -840,21 +850,8 @@ let test_flamegraph_collapsed_stacks () =
          | None -> false))
 
 (* ------------------------------------------------------------------ *)
-(* Gc gauge sampling interval + trace context                          *)
+(* Trace context                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let test_gauge_sample_interval () =
-  let d = Obs.gauge_sample_interval () in
-  Fun.protect
-    ~finally:(fun () -> Obs.set_gauge_sample_interval d)
-    (fun () ->
-      Obs.set_gauge_sample_interval 1;
-      check_int "interval readable" 1 (Obs.gauge_sample_interval ());
-      check_bool "interval 0 rejected" true
-        (match Obs.set_gauge_sample_interval 0 with
-         | exception Invalid_argument _ -> true
-         | () -> false);
-      check_int "rejected set leaves the interval" 1 (Obs.gauge_sample_interval ()))
 
 let test_trace_context () =
   check_bool "no ambient context" true (Obs.trace_context () = None);
@@ -898,7 +895,8 @@ let () =
   Alcotest.run "pak_obs"
     [ ( "counters",
         [ Alcotest.test_case "basics" `Quick test_counter_basics;
-          Alcotest.test_case "spans" `Quick test_span_stats
+          Alcotest.test_case "spans" `Quick test_span_stats;
+          Alcotest.test_case "summary folds spans by name" `Quick test_summary_fold
         ] );
       ( "histograms",
         [ Alcotest.test_case "basics" `Quick test_histogram_basics;
@@ -924,7 +922,8 @@ let () =
           Alcotest.test_case "v1 fixture parse-back" `Quick test_v1_fixture_parses;
           Alcotest.test_case "diff_capture attribution" `Quick test_diff_capture_attribution;
           Alcotest.test_case "diff_capture span leakage" `Quick
-            test_diff_capture_no_span_leakage
+            test_diff_capture_no_span_leakage;
+          Alcotest.test_case "deltas telescope" `Quick test_deltas_telescope
         ] );
       ( "semantics",
         [ Alcotest.test_case "memo counters" `Quick test_memo_counters;
@@ -933,13 +932,7 @@ let () =
       ( "trace",
         [ Alcotest.test_case "emit + validate" `Quick test_trace_file;
           Alcotest.test_case "validator rejects garbage" `Quick test_validate_rejects_garbage;
-          Alcotest.test_case "gauge sample interval" `Quick test_gauge_sample_interval;
           Alcotest.test_case "trace context" `Quick test_trace_context
-        ] );
-      ( "series",
-        [ Alcotest.test_case "deltas telescope" `Quick test_series_deltas_telescope;
-          Alcotest.test_case "ring eviction" `Quick test_series_ring_eviction;
-          Alcotest.test_case "capacity validation" `Quick test_series_capacity_validation
         ] );
       ( "openmetrics",
         [ Alcotest.test_case "render passes check" `Quick test_openmetrics_render_checks;

@@ -372,6 +372,12 @@ let test_op_status () =
   let status id = Printf.sprintf "(request (id %d) (op status))" id in
   let eval = request ~id:1 ~op:"eval" ~formula:"a0_g0" () in
   with_metrics (fun () ->
+      (* A known spread in a serve.-prefixed histogram, so the status
+         latencies must report three distinct quantiles. *)
+      let h = Obs.histogram "serve.test_latency" in
+      for v = 1 to 1000 do
+        Obs.record h v
+      done;
       let (out, code), snap =
         Obs.Snapshot.diff_capture (fun () -> run [ eval; status 2; status 3 ])
       in
@@ -392,7 +398,25 @@ let test_op_status () =
         check_bool "cache occupancy reported" true
           (contains s1 "(cache (entries 1) (capacity 256) (hits 0) (misses 1)");
         check_bool "latency percentiles quarantined under (metrics ...)" true
-          (contains s1 "(metrics (latencies" && contains s1 "serve.request")
+          (contains s1 "(metrics (latencies" && contains s1 "serve.request");
+        let key = "(serve.test_latency " in
+        let rec find i =
+          if i + String.length key > String.length s1 then
+            Alcotest.fail "serve.test_latency missing from status latencies"
+          else if String.sub s1 i (String.length key) = key then i + String.length key
+          else find (i + 1)
+        in
+        let at = find 0 in
+        let p50, p90, p99 =
+          Scanf.sscanf
+            (String.sub s1 at (String.length s1 - at))
+            "(count %_d) (p50-ns %f) (p90-ns %f) (p99-ns %f)"
+            (fun a b c -> (a, b, c))
+        in
+        check_bool
+          (Printf.sprintf "p50-ns < p90-ns < p99-ns (%.0f, %.0f, %.0f)" p50 p90 p99)
+          true
+          (p50 < p90 && p90 < p99)
       | other ->
         Alcotest.fail (Printf.sprintf "expected 4 output frames, got %d" (List.length other)))
 
