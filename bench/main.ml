@@ -648,7 +648,7 @@ let timing_tests () =
       (Staged.stage (fun () -> Simulate.sample_runs fs_tree ~samples:1000 ~seed:1));
     Test.make ~name:"kripke_extract_fs" (Staged.stage (fun () -> Kripke.of_tree fs_tree));
     Test.make ~name:"tree_io_roundtrip_fs"
-      (Staged.stage (fun () -> Tree_io.of_string (Tree_io.to_string fs_tree)));
+      (Staged.stage (fun () -> Tree_io.of_string_result (Tree_io.to_string fs_tree)));
     Test.make ~name:"aumann_check_fs"
       (Staged.stage (fun () -> Aumann.check fs_both ~group:[ 0; 1 ]));
     Test.make ~name:"simplify_formula"

@@ -45,7 +45,6 @@ type instance = {
   act : string;
   threshold : Q.t;        (* the canonical constraint threshold *)
   description : string;
-  valuation : Semantics.valuation;
 }
 
 let q_conv =
@@ -67,11 +66,6 @@ type params = {
   err : Q.t;
 }
 
-(* Generic atoms: "a<i>_<label>" tests agent i's label. Shared with
-   the library so [Cert.check] callers can re-verify CLI-produced
-   certificates under the identical valuation. *)
-let default_valuation = Semantics.generic_valuation
-
 let systems : (string * (params -> instance)) list =
   [ ( "firing-squad",
       fun prm ->
@@ -81,8 +75,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Firing_squad.alice;
           act = Systems.Firing_squad.fire;
           threshold = Q.of_ints 19 20;
-          description = "Example 1: relaxed firing squad (original FS protocol)";
-          valuation = default_valuation
+          description = "Example 1: relaxed firing squad (original FS protocol)"
         } );
     ( "firing-squad-improved",
       fun prm ->
@@ -92,8 +85,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Firing_squad.alice;
           act = Systems.Firing_squad.fire;
           threshold = Q.of_ints 19 20;
-          description = "Section 8: FS where Alice refrains from firing on 'No'";
-          valuation = default_valuation
+          description = "Section 8: FS where Alice refrains from firing on 'No'"
         } );
     ( "figure-one",
       fun prm ->
@@ -103,8 +95,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Figure_one.agent;
           act = Systems.Figure_one.alpha;
           threshold = Q.half;
-          description = "Figure 1: one-agent mixed-action counterexample";
-          valuation = default_valuation
+          description = "Figure 1: one-agent mixed-action counterexample"
         } );
     ( "threshold-gap",
       fun prm ->
@@ -114,8 +105,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Threshold_gap.i;
           act = Systems.Threshold_gap.alpha;
           threshold = prm.p;
-          description = "Figure 2 / Theorem 5.2: the T-hat(p, eps) construction";
-          valuation = default_valuation
+          description = "Figure 2 / Theorem 5.2: the T-hat(p, eps) construction"
         } );
     ( "coordinated-attack",
       fun prm ->
@@ -125,8 +115,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Coordinated_attack.general_a;
           act = Systems.Coordinated_attack.attack;
           threshold = Q.of_ints 19 20;
-          description = "k-round coordinated attack over a lossy channel";
-          valuation = default_valuation
+          description = "k-round coordinated attack over a lossy channel"
         } );
     ( "mutex",
       fun prm ->
@@ -136,8 +125,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Mutex.enter;
           threshold = Q.of_ints 19 20;
-          description = "relaxed mutual exclusion with a noisy arbiter";
-          valuation = default_valuation
+          description = "relaxed mutual exclusion with a noisy arbiter"
         } );
     ( "judge",
       fun prm ->
@@ -147,8 +135,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Judge.judge;
           act = Systems.Judge.convict;
           threshold = Q.of_ints 99 100;
-          description = "conviction under noisy evidence (beyond reasonable doubt)";
-          valuation = default_valuation
+          description = "conviction under noisy evidence (beyond reasonable doubt)"
         } );
     ( "consensus",
       fun prm ->
@@ -158,8 +145,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Consensus.decide_act 1;
           threshold = Q.of_ints 19 20;
-          description = "bounded randomized agreement over a lossy channel";
-          valuation = default_valuation
+          description = "bounded randomized agreement over a lossy channel"
         } );
     ( "aloha",
       fun prm ->
@@ -169,8 +155,7 @@ let systems : (string * (params -> instance)) list =
           agent = 0;
           act = Systems.Aloha.tx ~slot:0;
           threshold = Q.half;
-          description = "slotted ALOHA random access (2 agents)";
-          valuation = default_valuation
+          description = "slotted ALOHA random access (2 agents)"
         } );
     ( "interactive-proof",
       fun prm ->
@@ -180,8 +165,7 @@ let systems : (string * (params -> instance)) list =
           agent = Systems.Interactive_proof.verifier;
           act = Systems.Interactive_proof.accept;
           threshold = Q.of_ints 3 4;
-          description = "soundness amplification as a probabilistic constraint";
-          valuation = default_valuation
+          description = "soundness amplification as a probabilistic constraint"
         } )
   ]
 
@@ -461,20 +445,13 @@ let eval_cmd =
                  resulting fact. *)
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval_vec ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval_vec ?pool inst.tree ~valuation:Semantics.generic_valuation f)
               in
-              let sat_points =
-                Tree.fold_points inst.tree ~init:0 ~f:(fun acc ~run ~time ->
-                    if Fact.holds fact ~run ~time then acc + 1 else acc)
-              in
-              let ev = ref (Tree.empty_event inst.tree) in
-              for run = 0 to Tree.n_runs inst.tree - 1 do
-                if Fact.holds fact ~run ~time:0 then ev := Bitset.add !ev run
-              done;
+              let sat_points = Fact.sat_points fact in
               Printf.printf "formula : %s\n" (Formula.to_string f);
               Printf.printf "valid   : %b\n" (sat_points = Tree.n_points inst.tree);
               Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points inst.tree);
-              Printf.printf "P(time-0): %s\n" (Q.to_string (Tree.measure inst.tree !ev));
+              Printf.printf "P(time-0): %s\n" (Q.to_string (Fact.prob fact (Fact.initially fact)));
               Ok 0))
   in
   Cmd.v
@@ -539,7 +516,7 @@ let profile_cmd =
               let t0 = Sys.time () in
               let fact =
                 with_jobs_pool (fun pool ->
-                    Semantics.eval_vec ?pool inst.tree ~valuation:inst.valuation f)
+                    Semantics.eval_vec ?pool inst.tree ~valuation:Semantics.generic_valuation f)
               in
               let eval_ms = (Sys.time () -. t0) *. 1000. in
               if openmetrics then begin
@@ -552,10 +529,7 @@ let profile_cmd =
                 Ok 0
               end
               else begin
-                let sat_points =
-                  Tree.fold_points inst.tree ~init:0 ~f:(fun acc ~run ~time ->
-                      if Fact.holds fact ~run ~time then acc + 1 else acc)
-                in
+                let sat_points = Fact.sat_points fact in
                 Printf.printf "%s — %s\n" name inst.description;
                 Printf.printf "pps     : %d nodes, %d runs, %d points\n"
                   (Tree.n_nodes inst.tree) (Tree.n_runs inst.tree) (Tree.n_points inst.tree);
@@ -735,7 +709,7 @@ let axioms_cmd =
                 Printf.printf "agent %d:\n" agent;
                 List.iter
                   (fun r -> Format.printf "  %a@." Axioms.pp_report r)
-                  (Axioms.all inst.tree ~valuation:inst.valuation ~agent ~base))
+                  (Axioms.all inst.tree ~valuation:Semantics.generic_valuation ~agent ~base))
               (List.init (Tree.n_agents inst.tree) Fun.id);
             0)
           (find_system name prm))
@@ -826,12 +800,9 @@ let load_cmd =
       let* f = Parser.parse_result text in
       let fact =
         with_jobs_pool (fun pool ->
-            Semantics.eval_vec ?pool tree ~valuation:default_valuation f)
+            Semantics.eval_vec ?pool tree ~valuation:Semantics.generic_valuation f)
       in
-      let sat_points =
-        Tree.fold_points tree ~init:0 ~f:(fun acc ~run ~time ->
-            if Fact.holds fact ~run ~time then acc + 1 else acc)
-      in
+      let sat_points = Fact.sat_points fact in
       Printf.printf "formula : %s\n" (Formula.to_string f);
       Printf.printf "valid   : %b\n" (sat_points = Tree.n_points tree);
       Printf.printf "points  : %d of %d satisfy\n" sat_points (Tree.n_points tree);
@@ -908,11 +879,11 @@ let explain_cmd =
           (Error.makef Error.Invalid_system "point (%d,%d) is outside the system" r t)
       | _ -> Ok ()
     in
-    let* cert = Cert.certify_result tree ~valuation:default_valuation f in
+    let* cert = Cert.certify_result tree ~valuation:Semantics.generic_valuation f in
     (* Self-check: every certificate the CLI emits has already survived
        the independent checker. A failure here is a pak bug, not bad
        input, so it maps to the internal-error exit code. *)
-    match Cert.check ~valuation:default_valuation tree cert with
+    match Cert.check ~valuation:Semantics.generic_valuation tree cert with
     | Result.Error v ->
       Format.eprintf "pak: internal error: fresh certificate rejected: %s@."
         (Cert.violation_to_string v);

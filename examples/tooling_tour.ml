@@ -58,7 +58,7 @@ let () =
    | None -> ());
 
   (* 5. Serialization round-trip and the Kripke frame. *)
-  let t' = Tree_io.of_string (Tree_io.to_string t) in
+  let t' = Result.get_ok (Tree_io.of_string_result (Tree_io.to_string t)) in
   Printf.printf "Serialization round-trip: %d runs -> %d runs, total measure %s\n"
     (Tree.n_runs t) (Tree.n_runs t')
     (Q.to_string (Tree.measure t' (Tree.all_runs t')));

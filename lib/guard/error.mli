@@ -6,8 +6,8 @@
     {!t}: a {e kind} for dispatch (exit codes, retry policy), a
     human-readable message, and a context trail recording the layers
     the error crossed. Boundaries expose [_result] variants returning
-    [('a, Error.t) result]; the historical exceptions are kept as thin
-    deprecated shims built on top of them. *)
+    [('a, Error.t) result]; their raising forms (such as
+    {!Pak_logic.Parser.parse}) raise the same value as {!exception-Error}. *)
 
 type kind =
   | Parse  (** malformed textual input: formulas, pps documents *)

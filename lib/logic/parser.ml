@@ -1,7 +1,7 @@
 open Pak_rational
 module Error = Pak_guard.Error
 
-exception Parse_error of string
+exception Syntax of string
 
 type token =
   | TRUE
@@ -19,7 +19,7 @@ type token =
   | CMP of Formula.cmp
   | EOF
 
-let fail pos msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
+let fail pos msg = raise (Syntax (Printf.sprintf "at offset %d: %s" pos msg))
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
@@ -318,7 +318,7 @@ let parse_exn input =
 let parse_result input =
   match parse_exn input with
   | f -> Ok f
-  | exception Parse_error msg ->
+  | exception Syntax msg ->
     Result.Error (Error.with_context "Parser.parse" (Error.make Error.Parse msg))
   | exception Error.Division_by_zero ctx ->
     Result.Error
@@ -332,10 +332,5 @@ let parse_result input =
       (Error.with_context "Parser.parse"
          (Error.make Error.Budget_exceeded "stack overflow (formula nested too deeply)"))
 
-(* Deprecated shim: all parse-kind failures surface as [Parse_error];
-   budget exhaustion propagates as the typed error. *)
 let parse input =
-  match parse_result input with
-  | Ok f -> f
-  | Result.Error ({ Error.kind = Error.Budget_exceeded; _ } as e) -> raise (Error.Error e)
-  | Result.Error e -> raise (Parse_error e.Error.msg)
+  match parse_result input with Ok f -> f | Result.Error e -> raise (Error.Error e)

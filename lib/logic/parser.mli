@@ -26,12 +26,6 @@ val parse_result : string -> (Formula.t, Pak_guard.Error.t) result
     installed {!Pak_guard.Budget} runs out mid-parse. Messages include
     the offending byte offset. *)
 
-exception Parse_error of string
-(** Raised on malformed input, with a human-readable description
-    including the offending position. Deprecated shim retained for
-    source compatibility; prefer {!parse_result}. *)
-
 val parse : string -> Formula.t
 (** [parse s] is [parse_result s], unwrapped.
-    @raise Parse_error on malformed input.
-    @raise Pak_guard.Error.Error on budget exhaustion. *)
+    @raise Pak_guard.Error.Error on any failure. *)

@@ -434,22 +434,11 @@ let sat tree ~valuation formula ~run ~time =
   Fact.holds (eval_vec tree ~valuation formula) ~run ~time
 
 let valid tree ~valuation formula =
-  let fact = eval_vec tree ~valuation formula in
-  Tree.fold_points tree ~init:true ~f:(fun acc ~run ~time ->
-      acc && Fact.holds fact ~run ~time)
+  Fact.sat_points (eval_vec tree ~valuation formula) = Tree.n_points tree
 
 let valid_initially tree ~valuation formula =
-  let fact = eval_vec tree ~valuation formula in
-  let ok = ref true in
-  for run = 0 to Tree.n_runs tree - 1 do
-    if not (Fact.holds fact ~run ~time:0) then ok := false
-  done;
-  !ok
+  Bitset.cardinal (Fact.initially (eval_vec tree ~valuation formula)) = Tree.n_runs tree
 
 let probability tree ~valuation formula =
   let fact = eval_vec tree ~valuation formula in
-  let ev = ref (Tree.empty_event tree) in
-  for run = 0 to Tree.n_runs tree - 1 do
-    if Fact.holds fact ~run ~time:0 then ev := Bitset.add !ev run
-  done;
-  Tree.measure tree !ev
+  Fact.prob fact (Fact.initially fact)

@@ -136,14 +136,19 @@ let is_past_based t =
       end);
   !result
 
+let sat_points t =
+  Tree.fold_points t.tree ~init:0 ~f:(fun n ~run ~time ->
+      if t.table.(run).(time) then n + 1 else n)
+
+let initially t =
+  Bitset.init (Array.length t.table) (fun run ->
+      let row = t.table.(run) in
+      Array.length row > 0 && row.(0))
+
 let event_of_run_fact t =
   if not (is_about_runs t) then
     invalid_arg "Fact.event_of_run_fact: fact is not a fact about runs";
-  let ev = ref (Tree.empty_event t.tree) in
-  Array.iteri
-    (fun run row -> if Array.length row > 0 && row.(0) then ev := Bitset.add !ev run)
-    t.table;
-  !ev
+  initially t
 
 let at_lstate t key =
   let tr = t.tree in

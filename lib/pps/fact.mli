@@ -82,6 +82,15 @@ val is_past_based : t -> bool
     node. Past-based facts are local-state independent of every proper
     action (Lemma 4.3(b)). *)
 
+val sat_points : t -> int
+(** The number of points at which the fact holds. Visits every point
+    once ({!Tree.iter_points}). *)
+
+val initially : t -> Bitset.t
+(** The runs whose time-0 point satisfies the fact. With {!sat_points}
+    this is the whole of a model-checking answer: [µ_T] of this event
+    is the time-0 probability that [pak eval] and [pak serve] report. *)
+
 val event_of_run_fact : t -> Bitset.t
 (** The set of runs satisfying a fact about runs.
     @raise Invalid_argument if the fact is not about runs. *)

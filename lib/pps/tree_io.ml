@@ -1,7 +1,7 @@
 open Pak_rational
 module Error = Pak_guard.Error
 
-exception Parse_error of string
+exception Malformed of string
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -54,33 +54,33 @@ let to_string tree =
 
 let field name = function
   | Sexp.List (Sexp.Atom key :: rest) when key = name -> rest
-  | _ -> raise (Parse_error (Printf.sprintf "expected (%s ...)" name))
+  | _ -> raise (Malformed (Printf.sprintf "expected (%s ...)" name))
 
 let as_int what = function
   | Sexp.Atom a ->
     (match int_of_string_opt a with
      | Some v -> v
-     | None -> raise (Parse_error (what ^ ": not an integer")))
-  | _ -> raise (Parse_error (what ^ ": not an integer"))
+     | None -> raise (Malformed (what ^ ": not an integer")))
+  | _ -> raise (Malformed (what ^ ": not an integer"))
 
 let as_string what = function
   | Sexp.Str s -> s
-  | _ -> raise (Parse_error (what ^ ": not a string"))
+  | _ -> raise (Malformed (what ^ ": not a string"))
 
 let as_q what = function
   | Sexp.Atom a ->
     (try Q.of_string a
-     with _ -> raise (Parse_error (what ^ ": not a rational")))
-  | _ -> raise (Parse_error (what ^ ": not a rational"))
+     with _ -> raise (Malformed (what ^ ": not a rational")))
+  | _ -> raise (Malformed (what ^ ": not a rational"))
 
 let interpret input =
   match Sexp.parse input with
-  | Error msg -> raise (Parse_error msg)
+  | Error msg -> raise (Malformed msg)
   | Ok (Sexp.List (Sexp.Atom "pps" :: header :: nodes)) ->
     let n_agents =
       match field "agents" header with
       | [ v ] -> as_int "agents" v
-      | _ -> raise (Parse_error "(agents n) expected")
+      | _ -> raise (Malformed "(agents n) expected")
     in
     let b = Tree.Builder.create ~n_agents in
     List.iter
@@ -92,12 +92,12 @@ let interpret input =
              let parent =
                match field "parent" parent_f with
                | [ v ] -> as_int "parent" v
-               | _ -> raise (Parse_error "(parent id) expected")
+               | _ -> raise (Malformed "(parent id) expected")
              in
              let prob =
                match field "prob" prob_f with
                | [ v ] -> as_q "prob" v
-               | _ -> raise (Parse_error "(prob q) expected")
+               | _ -> raise (Malformed "(prob q) expected")
              in
              let acts =
                field "acts" acts_f |> List.map (as_string "acts") |> Array.of_list
@@ -105,17 +105,17 @@ let interpret input =
              let env =
                match field "env" env_f with
                | [ v ] -> as_string "env" v
-               | _ -> raise (Parse_error "(env label) expected")
+               | _ -> raise (Malformed "(env label) expected")
              in
              let locals = field "locals" locals_f |> List.map (as_string "locals") in
              let state = Gstate.make ~env ~locals in
              if parent = -1 then ignore (Tree.Builder.add_initial b ~prob state)
              else ignore (Tree.Builder.add_child b ~parent ~prob ~acts state)
-           | _ -> raise (Parse_error "node: expected (parent)(prob)(acts)(env)(locals)"))
-        | _ -> raise (Parse_error "expected (node ...)"))
+           | _ -> raise (Malformed "node: expected (parent)(prob)(acts)(env)(locals)"))
+        | _ -> raise (Malformed "expected (node ...)"))
       nodes;
     Tree.Builder.finalize b
-  | Ok _ -> raise (Parse_error "expected (pps (agents n) (node ...) ...)")
+  | Ok _ -> raise (Malformed "expected (pps (agents n) (node ...) ...)")
 
 (* The typed boundary. Lexical/grammatical failures are [Parse];
    well-formed documents violating a tree invariant (bad probabilities,
@@ -123,28 +123,15 @@ let interpret input =
    [Invalid_argument]) are [Invalid_system]; budget errors pass
    through. *)
 let of_string_result input =
+  (* The context label is part of every diagnostic returned here, so
+     it keeps its historical spelling. *)
+  let fail e = Result.Error (Error.with_context "Tree_io.of_string" e) in
   match interpret input with
   | tree -> Ok tree
-  | exception Parse_error msg ->
-    Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Parse msg))
-  | exception Error.Error e -> Result.Error (Error.with_context "Tree_io.of_string" e)
-  | exception Invalid_argument msg ->
-    Result.Error (Error.with_context "Tree_io.of_string" (Error.make Error.Invalid_system msg))
+  | exception Malformed msg -> fail (Error.make Error.Parse msg)
+  | exception Error.Error e -> fail e
+  | exception Invalid_argument msg -> fail (Error.make Error.Invalid_system msg)
   | exception Error.Division_by_zero ctx ->
-    Result.Error
-      (Error.with_context "Tree_io.of_string"
-         (Error.make Error.Invalid_system ("division by zero: " ^ ctx)))
+    fail (Error.make Error.Invalid_system ("division by zero: " ^ ctx))
   | exception Stack_overflow ->
-    Result.Error
-      (Error.with_context "Tree_io.of_string"
-         (Error.make Error.Budget_exceeded "stack overflow (document nested too deeply)"))
-
-(* Deprecated shim: every failure — including builder-invariant
-   violations that used to escape as [Invalid_argument] — surfaces as
-   [Parse_error], as the interface always documented callers should
-   expect. Budget exhaustion still propagates as the typed error. *)
-let of_string input =
-  match of_string_result input with
-  | Ok tree -> tree
-  | Result.Error ({ Error.kind = Error.Budget_exceeded; _ } as e) -> raise (Error.Error e)
-  | Result.Error e -> raise (Parse_error (Error.to_string e))
+    fail (Error.make Error.Budget_exceeded "stack overflow (document nested too deeply)")

@@ -26,14 +26,3 @@ val of_string_result : string -> (Tree.t, Pak_guard.Error.t) result
     probabilities, duplicate joint actions, wrong arities — the checks
     {!Tree.Builder} enforces), and [Budget_exceeded] when an installed
     {!Pak_guard.Budget} runs out while building the tree. *)
-
-exception Parse_error of string
-(** Deprecated shim retained for source compatibility; prefer
-    {!of_string_result}. *)
-
-val of_string : string -> Tree.t
-(** [of_string s] is [of_string_result s], unwrapped.
-    @raise Parse_error on any malformed or invariant-violating
-    document (the historical split where builder errors escaped as
-    [Invalid_argument] is gone).
-    @raise Pak_guard.Error.Error on budget exhaustion. *)

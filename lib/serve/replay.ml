@@ -5,8 +5,8 @@
    index, payload), shed boundaries are batch-exact at every --jobs,
    and Monte-Carlo degradation is seeded. The only impurities are the
    observability fields — (trace ...) / (metrics ...) groups and the
-   (result ...) of introspection ops — which [normalize] strips before
-   the byte comparison. *)
+   (result ...) of introspection ops — which [normalize] drops from the
+   parsed response before the byte comparison. *)
 
 module Journal = Pak_journal.Journal
 module Budget = Pak_guard.Budget
@@ -116,62 +116,27 @@ let config_of_meta s =
 (* Normalization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let strip_groups names s =
-  let n = String.length s in
-  let b = Buffer.create n in
-  (* Is [( name] (followed by a space, ')' or the end) at [i]? *)
-  let matches_at i name =
-    let l = String.length name in
-    i + 1 + l <= n
-    && String.sub s (i + 1) l = name
-    && (i + 1 + l = n || s.[i + 1 + l] = ' ' || s.[i + 1 + l] = ')')
-  in
-  (* [s.[i0] = '(']: index just past the matching ')'. Quote-aware —
-     parens inside "..." (with backslash escapes) do not count. *)
-  let skip_group i0 =
-    let depth = ref 0 in
-    let j = ref i0 in
-    let in_str = ref false in
-    let continue = ref true in
-    while !continue && !j < n do
-      (match s.[!j] with
-      | '"' -> in_str := not !in_str
-      | '\\' when !in_str -> incr j
-      | '(' when not !in_str -> incr depth
-      | ')' when not !in_str ->
-          decr depth;
-          if !depth = 0 then continue := false
-      | _ -> ());
-      incr j
-    done;
-    !j
-  in
-  let i = ref 0 in
-  let in_str = ref false in
-  while !i < n do
-    let c = s.[!i] in
-    if (not !in_str) && c = '(' && List.exists (matches_at !i) names then begin
-      (* Drop one already-emitted separating space with the group. *)
-      let bl = Buffer.length b in
-      if bl > 0 && Buffer.nth b (bl - 1) = ' ' then Buffer.truncate b (bl - 1);
-      i := skip_group !i
-    end
-    else begin
-      (match c with
-      | '"' -> in_str := not !in_str
-      | '\\' when !in_str && !i + 1 < n ->
-          Buffer.add_char b c;
-          incr i
-      | _ -> ());
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
+(* Parse, drop the named lists at any depth, print again. Serve
+   renders its responses in the reader's own dialect, so the reprint
+   of a clean response is the response minus those groups. *)
 let normalize ~disp s =
-  let s = strip_groups [ "trace"; "metrics" ] s in
-  if disp = "metrics" || disp = "status" then strip_groups [ "result" ] s else s
+  let drop =
+    if disp = "metrics" || disp = "status" then [ "trace"; "metrics"; "result" ]
+    else [ "trace"; "metrics" ]
+  in
+  let rec strip = function
+    | Serve.Sexp.List xs ->
+        Serve.Sexp.List
+          (List.filter_map
+             (function
+               | Serve.Sexp.List (Serve.Sexp.Atom head :: _) when List.mem head drop -> None
+               | x -> Some (strip x))
+             xs)
+    | x -> x
+  in
+  match Serve.Sexp.parse s with
+  | Ok sx -> Serve.Sexp.to_string (strip sx)
+  | Error _ -> s
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)

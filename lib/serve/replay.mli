@@ -10,17 +10,20 @@
     [Journal.Response] entries (again skipping [junk]-disposition
     records, which replay by construction does not reproduce).
 
-    The comparison is byte-for-byte {e modulo} the fields that are not
-    pure functions of the input stream:
+    Both sides are parsed with the shared s-expression reader
+    ({!Serve.Sexp}), the lists named below are dropped at any depth,
+    and the rest is printed again and compared byte-for-byte. The
+    dropped lists are the fields that are not pure functions of the
+    input stream:
 
-    - [(trace ...)] groups are stripped from both sides — trace ids are
-      reproduced exactly in practice (they are a pure function of the
-      stream), but the diff must not depend on that;
-    - [(metrics ...)] groups are stripped — per-request metric deltas
-      and [(op status)] latency percentiles read global, wall-clock
+    - [(trace ...)] lists — trace ids are reproduced exactly in
+      practice (they are a pure function of the stream), but the diff
+      must not depend on that;
+    - [(metrics ...)] lists — per-request metric deltas and
+      [(op status)] latency percentiles read global, wall-clock
       observability state;
     - for responses recorded with a [metrics] or [status] disposition,
-      [(result ...)] is also stripped — an OpenMetrics dump or a status
+      [(result ...)] is also dropped — an OpenMetrics dump or a status
       result reports the {e recording} process's cumulative state
       (journal position included), which a replaying process cannot
       reproduce. The response envelope (id, code, status) still has to
@@ -60,15 +63,12 @@ val config_of_meta : string -> Serve.config
     from both older and newer recorders (including the [(engine E)]
     field older recorders wrote). *)
 
-val strip_groups : string list -> string -> string
-(** [strip_groups names s] removes every balanced [(name ...)] group
-    whose head atom is in [names] (plus one preceding space), tracking
-    quoted strings so parentheses inside ["..."] do not miscount.
-    Exposed for tests. *)
-
 val normalize : disp:string -> string -> string
 (** The per-response normalization described above, keyed by the
-    recorded disposition token. *)
+    recorded disposition token: parse, drop every list whose head atom
+    is [trace] or [metrics] (and [result] for the [metrics] and
+    [status] dispositions), print. A payload that does not parse is
+    returned unchanged, so it is compared raw. *)
 
 val run :
   ?jobs:int ->

@@ -25,7 +25,6 @@ module Tree = Pak_pps.Tree
 module Tree_io = Pak_pps.Tree_io
 module Fact = Pak_pps.Fact
 module Belief = Pak_pps.Belief
-module Bitset = Pak_pps.Bitset
 module Parser = Pak_logic.Parser
 module Semantics = Pak_logic.Semantics
 module Closure = Pak_logic.Closure
@@ -548,11 +547,11 @@ let merge_limits server req =
 
 type outcome = {
   out_id : int;
-  out_body : string;  (* rendered "(code ..) (status ..) ..." fields *)
+  out_code : int;  (* exit-taxonomy code: rendered as (code N) and journaled *)
+  out_body : string;  (* rendered "(status ..) ..." fields after the code *)
   out_metrics : string;  (* "" or a rendered " (metrics ...)" *)
   out_cacheable : bool;
   out_trace : string;  (* "" = no trace field (junk/protocol outcomes) *)
-  out_code : int;  (* exit-taxonomy code, journaled with the response *)
   out_disp : string;  (* journal disposition token *)
   out_seq : int;  (* originating payload-frame sequence number *)
 }
@@ -562,18 +561,23 @@ let quoted s =
   Sexp.quote b s;
   Buffer.contents b
 
-let ok_outcome ?(disp = "ok") id body ~cacheable =
+(* Every response is built here. *)
+let outcome ~code ~disp ?(cacheable = false) ?(trace = "") ?(seq = 0) id body =
   {
     out_id = id;
+    out_code = code;
     out_body = body;
     out_metrics = "";
     out_cacheable = cacheable;
-    out_trace = "";
-    out_code = 0;
+    out_trace = trace;
     out_disp = disp;
-    out_seq = 0;
+    out_seq = seq;
   }
 
+let error_body kind msg =
+  Printf.sprintf "(status error) (kind %s) (error %s)" kind (quoted msg)
+
+(* A typed request failure: 4 when a budget ran out, 3 for bad input. *)
 let error_outcome id (e : Error.t) =
   let code =
     match e.Error.kind with
@@ -584,88 +588,12 @@ let error_outcome id (e : Error.t) =
         Obs.incr c_err_input;
         3
   in
-  {
-    out_id = id;
-    out_body =
-      Printf.sprintf "(code %d) (status error) (kind %s) (error %s)" code
-        (Error.kind_name e.Error.kind)
-        (quoted (Error.to_string e));
-    out_metrics = "";
-    out_cacheable = false;
-    out_trace = "";
-    out_code = code;
-    out_disp = "error";
-    out_seq = 0;
-  }
+  outcome ~code ~disp:"error" id
+    (error_body (Error.kind_name e.Error.kind) (Error.to_string e))
 
-let internal_outcome id exn =
-  Obs.incr c_err_internal;
-  {
-    out_id = id;
-    out_body =
-      Printf.sprintf "(code 125) (status error) (kind internal) (error %s)"
-        (quoted (Printexc.to_string exn));
-    out_metrics = "";
-    out_cacheable = false;
-    out_trace = "";
-    out_code = 125;
-    out_disp = "internal";
-    out_seq = 0;
-  }
-
-let bad_request_outcome id msg =
-  Obs.incr c_err_request;
-  {
-    out_id = id;
-    out_body =
-      Printf.sprintf "(code 2) (status error) (kind request) (error %s)"
-        (quoted msg);
-    out_metrics = "";
-    out_cacheable = false;
-    out_trace = "";
-    out_code = 2;
-    out_disp = "bad-request";
-    out_seq = 0;
-  }
-
-let protocol_outcome msg =
-  {
-    out_id = -1;
-    out_body =
-      Printf.sprintf "(code 3) (status error) (kind protocol) (error %s)"
-        (quoted msg);
-    out_metrics = "";
-    out_cacheable = false;
-    out_trace = "";
-    out_code = 3;
-    out_disp = "protocol";
-    out_seq = 0;
-  }
-
-let junk_outcome j =
-  let o =
-    match j with
-    | Frame.Garbage n ->
-        protocol_outcome (Printf.sprintf "garbage on stream: skipped %d bytes" n)
-    | Frame.Oversized n ->
-        protocol_outcome (Printf.sprintf "frame of %d bytes exceeds the cap" n)
-    | Frame.Truncated -> protocol_outcome "stream ended inside a frame"
-  in
-  { o with out_disp = "junk" }
-
-let overloaded_outcome cfg id =
-  {
-    out_id = id;
-    out_body =
-      Printf.sprintf "(code 4) (status overloaded) (retry-after-ms %d)"
-        cfg.retry_after_ms;
-    out_metrics = "";
-    out_cacheable = false;
-    out_trace = "";
-    out_code = 4;
-    out_disp = "shed";
-    out_seq = 0;
-  }
+(* A frame with no request behind it. *)
+let protocol_outcome ~disp ~seq msg =
+  outcome ~code:3 ~disp ~seq (-1) (error_body "protocol" msg)
 
 let render_metrics ~trace (d : Obs.Snapshot.t) =
   let b = Buffer.create 128 in
@@ -686,8 +614,8 @@ let render_response o =
   let trace =
     if o.out_trace = "" then "" else Printf.sprintf " (trace %s)" o.out_trace
   in
-  Printf.sprintf "(response (id %d)%s %s%s)" o.out_id trace o.out_body
-    o.out_metrics
+  Printf.sprintf "(response (id %d)%s (code %d) %s%s)" o.out_id trace o.out_code
+    o.out_body o.out_metrics
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -695,20 +623,43 @@ let render_response o =
 
 type pending = P_live of request * string option  (* cache key *) | P_done of outcome
 
+(* A table bounded to [cap] entries that evicts in insertion order:
+   the result cache and the parsed-system cache. *)
+module Fifo = struct
+  type 'a t = { tbl : (string, 'a) Hashtbl.t; order : string Queue.t; cap : int }
+
+  let create cap = { tbl = Hashtbl.create 16; order = Queue.create (); cap }
+  let find t k = Hashtbl.find_opt t.tbl k
+  let length t = Hashtbl.length t.tbl
+
+  (* Insert unless present; returns how many entries were evicted. *)
+  let add t k v =
+    if Hashtbl.mem t.tbl k then 0
+    else begin
+      Hashtbl.add t.tbl k v;
+      Queue.add k t.order;
+      let evicted = ref 0 in
+      while Hashtbl.length t.tbl > t.cap do
+        Hashtbl.remove t.tbl (Queue.pop t.order);
+        incr evicted
+      done;
+      !evicted
+    end
+end
+
 type state = {
   cfg : config;
   pool : Pool.t option;
   q : pending Queue.t;
   mutable live : int;  (* P_live entries in [q] *)
   (* Parsed-system cache: written from worker domains, hence the
-     mutex. FIFO-bounded. *)
-  trees : (string, Tree.t) Hashtbl.t;
-  tree_order : string Queue.t;
+     mutex. *)
+  trees : Tree.t Fifo.t;
   tree_mutex : Mutex.t;
-  (* Cross-request result cache: touched only on the main domain
-     (lookups at enqueue, inserts after a drain), so no lock. *)
-  results : (string, string) Hashtbl.t;
-  result_order : string Queue.t;
+  (* Cross-request result cache of response bodies: touched only on
+     the main domain (lookups at enqueue, inserts after a drain), so
+     no lock. *)
+  results : string Fifo.t;
   write_frame : string -> unit;
   (* (op status) tallies. The mutable ints are touched only on the main
      domain (enqueue / write_response / cache_put); the atomics are
@@ -783,26 +734,14 @@ let cache_key cfg req =
   end
 
 let cache_put st key body =
-  if not (Hashtbl.mem st.results key) then begin
-    Hashtbl.add st.results key body;
-    Queue.add key st.result_order;
-    while Hashtbl.length st.results > st.cfg.cache_max do
-      Obs.incr c_cache_evictions;
-      st.n_cache_evictions <- st.n_cache_evictions + 1;
-      Hashtbl.remove st.results (Queue.pop st.result_order)
-    done;
-    Atomic.set g_cache_entries (Hashtbl.length st.results)
-  end
+  let evicted = Fifo.add st.results key body in
+  Obs.add c_cache_evictions evicted;
+  st.n_cache_evictions <- st.n_cache_evictions + evicted;
+  Atomic.set g_cache_entries (Fifo.length st.results)
 
 let tree_of_system st doc =
   let digest = Digest.string doc in
-  let cached =
-    Mutex.lock st.tree_mutex;
-    let r = Hashtbl.find_opt st.trees digest in
-    Mutex.unlock st.tree_mutex;
-    r
-  in
-  match cached with
+  match Mutex.protect st.tree_mutex (fun () -> Fifo.find st.trees digest) with
   | Some t ->
       Obs.incr c_tree_hits;
       Atomic.incr st.n_tree_hits;
@@ -813,15 +752,7 @@ let tree_of_system st doc =
       match Tree_io.of_string_result doc with
       | Result.Error e -> raise (Error.Error (Error.with_context "system" e))
       | Ok t ->
-          Mutex.lock st.tree_mutex;
-          if not (Hashtbl.mem st.trees digest) then begin
-            Hashtbl.add st.trees digest t;
-            Queue.add digest st.tree_order;
-            while Hashtbl.length st.trees > st.cfg.tree_cache_max do
-              Hashtbl.remove st.trees (Queue.pop st.tree_order)
-            done
-          end;
-          Mutex.unlock st.tree_mutex;
+          ignore (Mutex.protect st.tree_mutex (fun () -> Fifo.add st.trees digest t));
           t)
 
 (* ------------------------------------------------------------------ *)
@@ -834,13 +765,12 @@ let rec perform st req =
       (* Introspection: render the server's cumulative metrics as
          OpenMetrics text. Never cached — the answer changes with every
          request served. *)
-      ok_outcome ~disp:"metrics" req.req_id
-        (Printf.sprintf "(code 0) (status ok) (result (openmetrics %s))"
+      outcome ~code:0 ~disp:"metrics" req.req_id
+        (Printf.sprintf "(status ok) (result (openmetrics %s))"
            (quoted
               (Obs.Openmetrics.render (Obs.Snapshot.capture ~spans:false ()))))
-        ~cacheable:false
   | Op_status ->
-      (* Answered at enqueue time on the main domain (status_outcome);
+      (* Answered at enqueue time on the main domain (status_body);
          it never reaches a worker. *)
       assert false
   | Op_eval | Op_belief _ -> perform_query st req
@@ -857,22 +787,11 @@ and perform_query st req =
   let fact = Semantics.eval_vec tree ~valuation:Semantics.generic_valuation formula in
   match req.op with
   | Op_eval ->
-      let sat = ref 0 in
-      Tree.iter_points tree (fun ~run ~time ->
-          if Fact.holds fact ~run ~time then incr sat);
-      let initially = ref (Tree.empty_event tree) in
-      for r = 0 to Tree.n_runs tree - 1 do
-        if Fact.holds fact ~run:r ~time:0 then
-          initially := Bitset.add !initially r
-      done;
-      let prob = Tree.measure tree !initially in
-      ok_outcome req.req_id
-        (Printf.sprintf
-           "(code 0) (status ok) (result (points %d) (sat %d) (valid %b) (prob %s))"
-           (Tree.n_points tree) !sat
-           (!sat = Tree.n_points tree)
-           (Q.to_string prob))
-        ~cacheable:true
+      let points = Tree.n_points tree and sat = Fact.sat_points fact in
+      let prob = Fact.prob fact (Fact.initially fact) in
+      outcome ~code:0 ~disp:"ok" ~cacheable:true req.req_id
+        (Printf.sprintf "(status ok) (result (points %d) (sat %d) (valid %b) (prob %s))"
+           points sat (sat = points) (Q.to_string prob))
   | Op_belief { agent; run; time; samples; seed } ->
       let bound name v hi =
         if v < 0 || v >= hi then
@@ -886,42 +805,40 @@ and perform_query st req =
       bound "time" time (Tree.run_length tree run);
       (match Belief.degree_graded ?samples ?seed fact ~agent ~run ~time with
       | Graded.Exact q ->
-          ok_outcome req.req_id
-            (Printf.sprintf "(code 0) (status ok) (result (degree %s))"
-               (Q.to_string q))
-            ~cacheable:true
+          outcome ~code:0 ~disp:"ok" ~cacheable:true req.req_id
+            (Printf.sprintf "(status ok) (result (degree %s))" (Q.to_string q))
       | Graded.Estimated { value; samples } ->
           Obs.incr c_degraded;
           Atomic.incr st.n_degraded;
-          ok_outcome ~disp:"estimated" req.req_id
-            (Printf.sprintf
-               "(code 0) (status estimated) (result (degree %s) (samples %d))"
-               (Q.to_string value) samples)
-            ~cacheable:false)
+          outcome ~code:0 ~disp:"estimated" req.req_id
+            (Printf.sprintf "(status estimated) (result (degree %s) (samples %d))"
+               (Q.to_string value) samples))
   | Op_metrics | Op_status -> assert false  (* handled in [perform] *)
 
 (* Per-request fault isolation: a fresh budget scope per request, and
    every failure mode folded into an error outcome. Nothing escapes. *)
 let execute st ~grace req =
-  let eff = merge_limits st.cfg.limits req.req_limits in
+  let own = merge_limits st.cfg.limits req.req_limits in
   let eff =
     match grace with
-    | None -> eff
+    | None -> own
     | Some (t0, grace_ms) ->
         let elapsed_ms = int_of_float ((now st -. t0) *. 1000.) in
         let remaining = max 0 (grace_ms - elapsed_ms) in
         {
-          eff with
+          own with
           Budget.timeout_ms =
             Some
-              (match eff.Budget.timeout_ms with
+              (match own.Budget.timeout_ms with
               | None -> remaining
               | Some t -> min t remaining);
         }
   in
-  if eff.Budget.timeout_ms = Some 0 then
-    error_outcome req.req_id
-      (Error.make Error.Budget_exceeded "drain grace deadline exceeded")
+  (* A zero deadline is answered without reading the clock, and named
+     after its cause: the request's own cap, or the drain's grace. *)
+  let timed_out why = error_outcome req.req_id (Error.make Error.Budget_exceeded why) in
+  if own.Budget.timeout_ms = Some 0 then timed_out "deadline of 0 ms exceeded"
+  else if eff.Budget.timeout_ms = Some 0 then timed_out "drain grace deadline exceeded"
   else
     (* Per-op latency histograms: the (op status) percentiles read these. *)
     let op_span =
@@ -940,7 +857,10 @@ let execute st ~grace req =
     | exception exn -> (
         match Error.of_exn exn with
         | Some e -> error_outcome req.req_id e
-        | None -> internal_outcome req.req_id exn)
+        | None ->
+            Obs.incr c_err_internal;
+            outcome ~code:125 ~disp:"internal" req.req_id
+              (error_body "internal" (Printexc.to_string exn)))
 
 let process st ~grace req =
   (* The trace context rides its own DLS slot, so it survives the
@@ -970,23 +890,18 @@ let process st ~grace req =
    is why it lives under (metrics ...): replay diffs responses modulo
    that field. [uptime-ticks] is the logical clock — payload frames
    received — not wall time, for the same determinism reason. *)
-let status_outcome st req =
+let status_body st =
   let b = Buffer.create 256 in
   Printf.bprintf b
-    "(code 0) (status ok) (result (uptime-ticks %d) (pending %d) (requests %d) \
+    "(status ok) (result (uptime-ticks %d) (pending %d) (requests %d) \
      (responses %d) (shed %d) (degraded %d)"
     st.frames st.live st.n_requests st.n_responses st.n_shed
     (Atomic.get st.n_degraded);
   Printf.bprintf b
     " (cache (entries %d) (capacity %d) (hits %d) (misses %d) (evictions %d))"
-    (Hashtbl.length st.results)
+    (Fifo.length st.results)
     st.cfg.cache_max st.n_cache_hits st.n_cache_misses st.n_cache_evictions;
-  let tree_entries =
-    Mutex.lock st.tree_mutex;
-    let n = Hashtbl.length st.trees in
-    Mutex.unlock st.tree_mutex;
-    n
-  in
+  let tree_entries = Mutex.protect st.tree_mutex (fun () -> Fifo.length st.trees) in
   Printf.bprintf b
     " (tree-cache (entries %d) (capacity %d) (hits %d) (misses %d))"
     tree_entries st.cfg.tree_cache_max
@@ -1008,11 +923,7 @@ let status_outcome st req =
           (Obs.percentile counts 0.9) (Obs.percentile counts 0.99))
     (Obs.histograms ());
   Buffer.add_string b "))";
-  {
-    (ok_outcome ~disp:"status" req.req_id (Buffer.contents b) ~cacheable:false) with
-    out_trace = req.req_trace;
-    out_seq = req.req_seq;
-  }
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Queue, drain, shed                                                  *)
@@ -1028,50 +939,38 @@ let write_response st o =
 
 let enqueue st ~seq = function
   | Item_bad (id, msg, trace) ->
+      Obs.incr c_err_request;
       Queue.add
         (P_done
-           { (bad_request_outcome id msg) with out_trace = trace; out_seq = seq })
+           (outcome ~code:2 ~disp:"bad-request" ~trace ~seq id (error_body "request" msg)))
         st.q
   | Item_req req -> (
       Obs.incr c_requests;
       st.n_requests <- st.n_requests + 1;
+      let answer ~code ~disp body =
+        Queue.add
+          (P_done (outcome ~code ~disp ~trace:req.req_trace ~seq req.req_id body))
+          st.q
+      in
       if req.op = Op_status then
         (* Introspection is answered inline: never queued (so it can
            report pending depth), never shed (so it works under load),
            never cached. *)
-        Queue.add (P_done (status_outcome st req)) st.q
+        answer ~code:0 ~disp:"status" (status_body st)
       else if st.live >= st.cfg.max_pending then begin
         Obs.incr c_shed;
         st.n_shed <- st.n_shed + 1;
-        Queue.add
-          (P_done
-             {
-               (overloaded_outcome st.cfg req.req_id) with
-               out_trace = req.req_trace;
-               out_seq = seq;
-             })
-          st.q
+        answer ~code:4 ~disp:"shed"
+          (Printf.sprintf "(status overloaded) (retry-after-ms %d)" st.cfg.retry_after_ms)
       end
       else
         let key = cache_key st.cfg req in
-        match key with
-        | Some k when Hashtbl.mem st.results k ->
+        match Option.bind key (Fifo.find st.results) with
+        | Some body ->
             Obs.incr c_cache_hits;
             st.n_cache_hits <- st.n_cache_hits + 1;
-            Queue.add
-              (P_done
-                 {
-                   out_id = req.req_id;
-                   out_body = Hashtbl.find st.results k;
-                   out_metrics = "";
-                   out_cacheable = false;
-                   out_trace = req.req_trace;
-                   out_code = 0;
-                   out_disp = "cache-hit";
-                   out_seq = seq;
-                 })
-              st.q
-        | _ ->
+            answer ~code:0 ~disp:"cache-hit" body
+        | None ->
             if key <> None then begin
               Obs.incr c_cache_misses;
               st.n_cache_misses <- st.n_cache_misses + 1
@@ -1084,11 +983,8 @@ let drain st ~final =
   if not (Queue.is_empty st.q) then begin
     Obs.incr c_drains;
     Obs.span "serve.drain" (fun () ->
-        let entries = Array.make (Queue.length st.q) (P_done (protocol_outcome "")) in
-        let n = Array.length entries in
-        for i = 0 to n - 1 do
-          entries.(i) <- Queue.pop st.q
-        done;
+        let entries = Array.of_seq (Queue.to_seq st.q) in
+        Queue.clear st.q;
         st.live <- 0;
         Atomic.set g_pending 0;
         let grace =
@@ -1098,35 +994,32 @@ let drain st ~final =
             | None -> None
           else None
         in
-        let live_ix = ref [] in
-        Array.iteri
-          (fun i e -> match e with P_live _ -> live_ix := i :: !live_ix | P_done _ -> ())
-          entries;
-        let ixs = Array.of_list (List.rev !live_ix) in
-        let compute i =
-          match entries.(i) with
-          | P_live (req, _) -> (i, process st ~grace req)
-          | P_done _ -> assert false
+        let live =
+          Array.of_seq
+            (Seq.filter_map
+               (function P_live (req, _) -> Some req | P_done _ -> None)
+               (Array.to_seq entries))
         in
-        let outcomes =
+        let computed =
           match st.pool with
-          | Some pool when Array.length ixs > 1 ->
+          | Some pool when Array.length live > 1 ->
               (* A pool task may be claimed by a worker (empty span
                  stack) or by the caller (inside serve.drain): detach
                  the span stack so every pooled request records the
                  same root-level serve.request path and the span tree
                  stays deterministic at every job count. *)
-              Pool.map pool (fun i -> Obs.span_detach (fun () -> compute i)) ixs
-          | _ -> Array.map compute ixs
+              Pool.map pool (fun req -> Obs.span_detach (fun () -> process st ~grace req)) live
+          | _ -> Array.map (process st ~grace) live
         in
-        let resolved = Hashtbl.create (max 1 (Array.length outcomes)) in
-        Array.iter (fun (i, o) -> Hashtbl.replace resolved i o) outcomes;
-        Array.iteri
-          (fun i e ->
+        (* [computed] holds the live entries' outcomes in queue order. *)
+        let next = ref 0 in
+        Array.iter
+          (fun e ->
             match e with
             | P_done o -> write_response st o
             | P_live (_, key) ->
-                let o = Hashtbl.find resolved i in
+                let o = computed.(!next) in
+                incr next;
                 (match key with
                 | Some k when o.out_cacheable -> cache_put st k o.out_body
                 | _ -> ());
@@ -1154,11 +1047,9 @@ let run cfg ~source ~write =
           pool = (if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None);
           q = Queue.create ();
           live = 0;
-          trees = Hashtbl.create 8;
-          tree_order = Queue.create ();
+          trees = Fifo.create cfg.tree_cache_max;
           tree_mutex = Mutex.create ();
-          results = Hashtbl.create 64;
-          result_order = Queue.create ();
+          results = Fifo.create cfg.cache_max;
           write_frame;
           frames = 0;
           n_requests = 0;
@@ -1251,13 +1142,19 @@ let run cfg ~source ~write =
             (* Junk does not advance the frame sequence (replay drops
                it and must reproduce the recorded trace ids); the bytes
                themselves are gone, so journal a description. *)
+            let record, msg =
+              match j with
+              | Frame.Garbage n ->
+                  ( Printf.sprintf "garbage %d" n,
+                    Printf.sprintf "garbage on stream: skipped %d bytes" n )
+              | Frame.Oversized n ->
+                  ( Printf.sprintf "oversized %d" n,
+                    Printf.sprintf "frame of %d bytes exceeds the cap" n )
+              | Frame.Truncated -> ("truncated", "stream ended inside a frame")
+            in
             journal_emit st ~kind:Journal.Request ~seq:st.frames ~code:(-1)
-              ~disp:"junk" ~trace:""
-              (match j with
-              | Frame.Garbage n -> Printf.sprintf "garbage %d" n
-              | Frame.Oversized n -> Printf.sprintf "oversized %d" n
-              | Frame.Truncated -> "truncated");
-            Queue.add (P_done { (junk_outcome j) with out_seq = st.frames }) st.q;
+              ~disp:"junk" ~trace:"" record;
+            Queue.add (P_done (protocol_outcome ~disp:"junk" ~seq:st.frames msg)) st.q;
             maybe_drain ();
             loop ()
         | Frame.Payload p -> (
@@ -1272,10 +1169,8 @@ let run cfg ~source ~write =
                 Obs.incr c_err_protocol;
                 Queue.add
                   (P_done
-                     {
-                       (protocol_outcome ("unparsable frame payload: " ^ m)) with
-                       out_seq = seq;
-                     })
+                     (protocol_outcome ~disp:"protocol" ~seq
+                        ("unparsable frame payload: " ^ m)))
                   st.q;
                 maybe_drain ();
                 loop ()

@@ -512,24 +512,24 @@ let trees_observationally_equal t1 t2 =
               (List.init (Tree.run_length t1 run) Fun.id))
        (List.init (Tree.n_runs t1) Fun.id)
 
+let reparse t =
+  match Tree_io.of_string_result (Tree_io.to_string t) with
+  | Ok t' -> t'
+  | Error e -> Alcotest.fail (Pak_guard.Error.to_string e)
+
 let test_tree_io_roundtrip () =
   let t = fs () in
-  let t2 = Tree_io.of_string (Tree_io.to_string t) in
+  let t2 = reparse t in
   check_bool "FS round trip" true (trees_observationally_equal t t2);
   (* Labels with quotes and backslashes survive. *)
   let b = Tree.Builder.create ~n_agents:1 in
   ignore (Tree.Builder.add_initial b ~prob:Q.one (Gstate.of_labels "e\"x\\y" [ "l \"quoted\"" ]));
   let t3 = Tree.Builder.finalize b in
-  let t4 = Tree_io.of_string (Tree_io.to_string t3) in
+  let t4 = reparse t3 in
   check_bool "escapes round trip" true (trees_observationally_equal t3 t4)
 
 let test_tree_io_errors () =
-  let fails s =
-    match Tree_io.of_string s with
-    | exception Tree_io.Parse_error _ -> true
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
+  let fails s = Result.is_error (Tree_io.of_string_result s) in
   check_bool "garbage" true (fails "nonsense");
   check_bool "unterminated" true (fails "(pps (agents 1)");
   check_bool "bad prob" true (fails "(pps (agents 1) (node (parent -1) (prob x) (acts) (env \"e\") (locals \"a\")))");
@@ -567,7 +567,7 @@ let prop_tree_io_random =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let t = Gen.tree seed in
-      trees_observationally_equal t (Tree_io.of_string (Tree_io.to_string t)))
+      trees_observationally_equal t (reparse t))
 
 (* ------------------------------------------------------------------ *)
 (* Modal axioms                                                        *)

@@ -292,25 +292,29 @@ let test_counter_identities () =
 (* Replay normalization                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_strip_groups () =
-  check_string "named group and its leading space removed"
+let test_normalize () =
+  let ok = Replay.normalize ~disp:"ok" in
+  check_string "a trace list is dropped"
     "(response (id 1) (result x))"
-    (Replay.strip_groups [ "trace" ] "(response (id 1) (trace abc) (result x))");
-  check_string "nested groups removed whole" "(a b)"
-    (Replay.strip_groups [ "metrics" ] "(a (metrics (x (y 1)) (z 2)) b)");
-  check_string "quoted parens do not confuse the matcher"
+    (ok "(response (id 1) (trace abc) (result x))");
+  check_string "a nested metrics list is dropped whole" "(a b)"
+    (ok "(a (metrics (x (y 1)) (z 2)) b)");
+  check_string "parens inside a string are text"
     {|(a (result "(trace 2)"))|}
-    (Replay.strip_groups [ "trace" ] {|(a (trace 1) (result "(trace 2)"))|});
-  check_string "name must match whole atom" "(r (tracex 1))"
-    (Replay.strip_groups [ "trace" ] "(r (tracex 1) (trace 2))");
-  check_string "status disposition also strips the result"
+    (ok {|(a (trace 1) (result "(trace 2)"))|});
+  check_string "the head must be the whole atom" "(r (tracex 1))"
+    (ok "(r (tracex 1) (trace 2))");
+  check_string "lists are dropped at any depth" "(a (b (c)))"
+    (ok "(a (b (c (trace 1))) (metrics m))");
+  check_string "status disposition also drops the result"
     "(response (id 1) (code 0) (status ok))"
     (Replay.normalize ~disp:"status"
        "(response (id 1) (code 0) (status ok) (result (uptime-ticks 5)) (metrics (m 1)))");
   check_string "ordinary dispositions keep the result"
     "(response (id 1) (code 0) (status ok) (result true))"
-    (Replay.normalize ~disp:"ok"
-       "(response (id 1) (code 0) (status ok) (result true) (trace aa))")
+    (ok "(response (id 1) (code 0) (status ok) (result true) (trace aa))");
+  check_string "an unparsable payload comes back unchanged" "(a (trace 1)"
+    (ok "(a (trace 1)")
 
 let test_meta_roundtrip () =
   let cfg =
@@ -482,7 +486,7 @@ let () =
           Alcotest.test_case "counter identities" `Quick test_counter_identities
         ] );
       ( "replay",
-        [ Alcotest.test_case "strip groups" `Quick test_strip_groups;
+        [ Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "meta round-trip" `Quick test_meta_roundtrip;
           Alcotest.test_case "record/replay round-trip" `Quick
             test_record_replay_roundtrip;

@@ -122,7 +122,7 @@ let test_parser_basics () =
 let test_parser_errors () =
   let fails s =
     match Parser.parse s with
-    | exception Parser.Parse_error _ -> true
+    | exception Pak_guard.Error.Error _ -> true
     | _ -> false
   in
   check_bool "empty" true (fails "");

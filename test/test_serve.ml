@@ -621,6 +621,81 @@ let test_bad_requests () =
     (contains out "(id 2) (code 3)" && contains out "(kind parse)");
   check_bool "bad system is code 3" true (contains out "(id 3) (code 3)")
 
+(* Every outcome kind, full response bytes (trace field removed): one
+   stream that answers ok, cache-hit, estimated, budget error, input
+   error, bad request, protocol error, junk and overloaded. *)
+let test_outcome_bodies () =
+  let tree = Lazy.force fig1 in
+  let spend = eval_points_spend tree "a0_g1" in
+  let open Serve.Sexp in
+  let num k v = List [ Atom k; Atom (string_of_int v) ] in
+  let parsed s = match parse s with Ok sx -> sx | Error e -> Alcotest.fail e in
+  let eval = request ~id:1 ~op:"eval" ~formula:"K[0] a0_g0" () in
+  let estimated =
+    request ~id:3 ~op:"belief" ~formula:"a0_g1"
+      ~extras:
+        [ num "agent" 0; num "run" 0; num "time" 0; num "samples" 300; num "seed" 42;
+          num "max-points" spend ]
+      ()
+  in
+  let doomed =
+    request ~id:4 ~op:"eval" ~formula:"CB[0]>=1/2 a0_g0" ~extras:[ num "max-iters" 0 ] ()
+  in
+  let overload =
+    to_string
+      (List
+         [ Atom "batch";
+           parsed (request ~id:8 ~op:"eval" ~formula:"B[0]>=1/1000 a0_g0" ());
+           parsed (request ~id:9 ~op:"eval" ~formula:"B[0]>=2/1000 a0_g0" ())
+         ])
+  in
+  let frame = Serve.Frame.encode in
+  let input =
+    String.concat ""
+      [ frame eval; frame eval; frame estimated; frame doomed;
+        frame (request ~id:5 ~op:"eval" ~formula:"K[0" ());
+        frame (request ~id:6 ~op:"frobnicate" ~formula:"a0_g0" ());
+        frame ")"; "@@junk@@"; frame overload ]
+  in
+  let cfg = { Serve.default_config with Serve.max_pending = 1 } in
+  let out, code = Serve.run_string ~config:cfg input in
+  check_int "clean drain" 0 code;
+  let got = List.map (fun f -> snd (split_trace f)) (collect_frames out) in
+  check_string "every outcome kind, byte for byte"
+    (String.concat "\n"
+       [ "(response (id 1) (code 0) (status ok) (result (points 4) (sat 2) (valid false) (prob 1)))";
+         "(response (id 1) (code 0) (status ok) (result (points 4) (sat 2) (valid false) (prob 1)))";
+         "(response (id 3) (code 0) (status estimated) (result (degree 0) (samples 300)))";
+         "(response (id 4) (code 4) (status error) (kind budget-exceeded) (error \"budget-exceeded: fixpoint-iteration budget exceeded (limit 0, needed 1)\"))";
+         "(response (id 5) (code 3) (status error) (kind parse) (error \"parse: at offset 3: ']' expected (via Parser.parse < formula)\"))";
+         "(response (id 6) (code 2) (status error) (kind request) (error \"unknown op frobnicate\"))";
+         "(response (id -1) (code 3) (status error) (kind protocol) (error \"unparsable frame payload: unbalanced ')'\"))";
+         "(response (id -1) (code 3) (status error) (kind protocol) (error \"garbage on stream: skipped 8 bytes\"))";
+         "(response (id 8) (code 0) (status ok) (result (points 4) (sat 2) (valid false) (prob 1)))";
+         "(response (id 9) (code 4) (status overloaded) (retry-after-ms 50))";
+         "(bye (reason eof))" ])
+    (String.concat "\n" got)
+
+(* A request's own (timeout-ms 0) exceeds its own deadline; only a
+   zero left by the shutdown grace window is the drain deadline. Both
+   are answered without reading a clock. *)
+let test_zero_timeout () =
+  let zero =
+    request ~id:1 ~op:"eval" ~formula:"true"
+      ~extras:[ Serve.Sexp.List [ Serve.Sexp.Atom "timeout-ms"; Serve.Sexp.Atom "0" ] ]
+      ()
+  in
+  let out, code = run [ zero ] in
+  check_int "clean drain" 0 code;
+  check_bool "the request's own deadline" true
+    (contains out "(error \"budget-exceeded: deadline of 0 ms exceeded\")");
+  (* Held for the final drain (batch 8), whose grace window is 0 ms. *)
+  let cfg = { Serve.default_config with Serve.batch = 8; drain_ms = Some 0 } in
+  let out, code = run ~config:cfg [ request ~id:2 ~op:"eval" ~formula:"true" () ] in
+  check_int "clean drain under a zero grace" 0 code;
+  check_bool "the drain grace deadline" true
+    (contains out "(error \"budget-exceeded: drain grace deadline exceeded\")")
+
 let test_validate_config () =
   let bad cfg = Result.is_error (Serve.validate_config cfg) in
   check_bool "default ok" true (Serve.validate_config Serve.default_config = Ok ());
@@ -673,6 +748,8 @@ let () =
           Alcotest.test_case "protocol error recovery" `Quick test_protocol_error_recovery;
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "bad requests" `Quick test_bad_requests;
+          Alcotest.test_case "outcome bodies" `Quick test_outcome_bodies;
+          Alcotest.test_case "zero timeout" `Quick test_zero_timeout;
           Alcotest.test_case "validate config" `Quick test_validate_config
         ] )
     ]
